@@ -28,6 +28,7 @@ from .dispersion import attenuation, dispersion
 from .greens import SpectralDecayError, causality_metric, green1d, green3d
 from .mittag_leffler import MLToleranceError
 from .verification import (
+    PVConvergenceError,
     cbf_check,
     cm_check_relaxation,
     halfplane_grid,
@@ -35,7 +36,12 @@ from .verification import (
     minimum_phase_check,
     positive_axis_grid,
 )
-from .wavenumber import MeasureMedium, complex_modulus, wave_number
+from .wavenumber import (
+    JumpExtrapolationError,
+    MeasureMedium,
+    complex_modulus,
+    wave_number,
+)
 
 __all__ = ["main"]
 
@@ -383,10 +389,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureError, SpectralDecayError, MLToleranceError,
+            JumpExtrapolationError, PVConvergenceError,
             FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -12,8 +12,10 @@ These quadrature paths are deliberately independent of the closed-form
 wave-number evaluation in :mod:`cmwave.wavenumber`; agreement of the two is
 one of the package's structural checks.
 
-Tolerances are fixed (1e-8 relative, 1e-10 scaled absolute) so downstream
-checks have deterministic targets; grid evaluation is embarrassingly
+Tolerances are fixed and purely relative, so downstream checks have
+deterministic targets: each quadrature piece is requested to 1e-11
+relative with no absolute floor, and a summed error estimate above 1e-8 of
+the result raises QuadratureError.  Grid evaluation is embarrassingly
 parallel and performed as an independent per-point map.
 """
 

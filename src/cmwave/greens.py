@@ -1,20 +1,23 @@
 """Green's function synthesis by FFT inversion of the frequency-domain
 representation, with analytic peeling of the non-decaying spectrum parts.
 
-For a medium with finite wavefront speed the 1D Green's function is, in the
-frame shifted to the wavefront arrival s = t - x/c_inf,
+For a medium with finite wavefront speed the 1D and 3D Green's functions
+are, in the frame shifted to the wavefront arrival s = t - x/c_inf,
 
-    v(s)  <->  (1/2) lam(p) exp(-beta(p) x) / p,   lam(p) = kappa(p)/p
+    v1(s)  <->  (1/2) lam(p) exp(-beta(p) x) / p,
+    v3(s)  <->  lam(p)^2 exp(-beta(p) x) / (4 pi x),
 
-(rho/(Q kappa) = kappa/p^2, so only the wave number enters).  A raw FFT of
-this spectrum cannot represent its 1/p pole, the wavefront jump, or the
-algebraic low-frequency part that produces the slow relaxation tail, so
-these are subtracted with exact time-domain counterparts:
+with lam(p) = kappa(p)/p = 1/c_inf + beta(p)/p.  One core synthesizes
+both: it evaluates beta once per bin of an internally padded period and
+subtracts a list of peels, each with its spectrum term, its bin-0 value
+and its exact time-domain add-back:
 
- * the final-value pole  v_inf/p        -> v_inf * H(s),
- * a jump-to-final ramp  (v_inf-v0)/(p+1/theta)
-                                        -> (v_inf-v0)(1-e^(-s/theta)) H(s),
- * the fractional term   C p^(sig-1) sum_i A_i/(1+theta_i p)
+ * the final-value pole (1D)  v_inf/p  -> v_inf * H(s),
+ * the front delta (3D)  c_delta  -> c_delta delta(s), a spike split
+   between the two samples around the arrival,
+ * an exponential  c/(p+1/theta)  -> c e^(-s/theta) H(s): in 1D the
+   jump-to-final ramp, c = v0 - v_inf; in 3D fitted to the 1/p content,
+ * the fractional term (1D)  C p^(sig-1) sum_i A_i/(1+theta_i p)
                                         -> C sum_i A_i theta_i^(-sig)
                                            phi(s/theta_i) H(s),
    phi(y) = y^(1-sig) E_{1,2-sig}(-y), matching the s^(-sig) relaxation
@@ -25,32 +28,38 @@ these are subtracted with exact time-domain counterparts:
  * a residual second-order term  j1/((p+la)(p+lb))
                                         -> j1 (e^(-la s) - e^(-lb s)) /
                                            (lb - la) H(s),
-   with short timescales, fitted on the real axis to whatever 1/p^2
-   content the previous subtractions leave; this carries the slope kink
-   at the front.
+   with short timescales, fitted to whatever 1/p^2 content the previous
+   subtractions leave; this carries the slope kink at the front.
 
-What remains decays at least like p^-3, is pole-free, and inverts cleanly;
-the wavefront shift is applied as an integer index shift so that
+The front jump v0 = exp(-beta(inf) x)/(2 c_inf) and the delta area
+c_delta = exp(-beta(inf) x)/(4 pi x c_inf^2) use the exact limit
+beta(inf) = int h(r) dr (infinite, so both vanish, for algebraic tails).
+The fitted coefficients come from one real-axis fit at a rate well above
+every scale of the synthesis, where beta is free of cancellation.  What
+remains decays at least like p^-3, is pole-free, and inverts cleanly; the
+wavefront shift is applied as an integer index shift so that
 pre-wavefront samples come from the (tiny) tail of the causal remainder
-rather than from interpolation ringing.  The waveform is synthesized on an
-internally padded period to push wrap-around aliasing of the relaxation
-tail below the causality tolerance.
+rather than from interpolation ringing.  The padding pushes wrap-around
+aliasing of the relaxation tail below the causality tolerance, and the
+core raises SpectralDecayError when it does not.
 
-Media with G_inf = 0 have no final-value step; the viscoelastic-fluid path
-is implemented for power-law media (the strongly singular, no-wavefront
-regime), where the small-p expansion of the spectrum is available in closed
-form and its non-integrable powers are peeled term by term.
+Media with G_inf = 0 have no final-value step; the 1D viscoelastic-fluid
+path is implemented for power-law media (the strongly singular,
+no-wavefront regime), where the small-p expansion of the spectrum is
+available in closed form and its non-integrable powers are peeled term by
+term.  It shares only the frequency grid and the inversion with the core.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import rgamma
 
-from .measures import SpectralMeasure, spectral_measure
+from .measures import SpectralMeasure
 from .mittag_leffler import ml_e1_neg
 from .wavenumber import MeasureMedium, beta_at_infinity, dispersion_attenuation, wave_number
 
@@ -67,6 +76,7 @@ _THETA_FRACTION = 40.0    # ramp timescale = period / this
 _FRAC_FRACTION = 500.0    # fractional-peel timescale = period / this
 _KINK_SAMPLES = 30.0      # short-peel timescale, in samples
 _ALIAS_LIMIT = 1e-4       # raise when the wrapped tail exceeds this x peak
+_FIT_RATIO = 1e3          # real-axis fit rate / largest synthesis rate
 
 
 def _frac_poles(theta_f: float):
@@ -147,47 +157,22 @@ def _validate_sampling(n_samples: int, T: float, t_w: float | None) -> None:
         raise ValueError("T must exceed the wavefront time x/c_inf")
 
 
-def _medium(model):
-    measure = (model.measure if isinstance(model, MeasureMedium)
-               else spectral_measure(model))
-    return measure, model.c_inf, model.c0
-
-
-def _low_freq_fit(model, x, v_inf, sing_exp, r_scale):
-    """Fit the small-p expansion of q(p) = 0.5 lam(p) e^(-beta x) - v_inf.
-
-    Returns (fractional_terms, c_lin): fractional_terms is a list of
-    (exponent, coefficient) pairs covering sig and, when it still lies
-    below 1, 2 sig (whose inverse tail would otherwise outlive the linear
-    term); c_lin is the analytic p^1 coefficient.
-    """
-    eps = 1e-12 * r_scale
-
-    def q(p):
-        lam = complex(wave_number(model, complex(p))) / p
-        beta = complex(dispersion_attenuation(model, complex(p)))
-        return (0.5 * lam * math.exp(-beta.real * x) - v_inf).real
-
-    if sing_exp is None:
-        c_lin = (4.0 * q(eps) - q(2.0 * eps)) / (2.0 * eps)
-        return [], c_lin
-    exps = [sing_exp]
-    if 2.0 * sing_exp < 0.95:
-        exps.append(2.0 * sing_exp)
-    basis = exps + [1.0]
-    pts = eps * 2.0 ** np.arange(len(basis))
-    mat = np.array([[p ** e for e in basis] for p in pts])
-    coefs = np.linalg.solve(mat, np.array([q(p) for p in pts]))
-    return list(zip(exps, coefs[:-1])), float(coefs[-1])
+def _bins(n_samples: int, T: float, pad_factor: int):
+    """Sample step and the angular frequencies of rfft bins 1..N/2 of the
+    padded period of N = n_samples * pad_factor samples."""
+    dt = T / n_samples
+    n_full = n_samples * pad_factor
+    return dt, np.arange(1, n_full // 2 + 1) * (2.0 * math.pi / (n_full * dt))
 
 
 def _invert(W, dt):
     """Synthesize w(s_m) = (1/2 pi) int e^(-i w s) W(w) dw from rfft-layout
-    samples (bins 0..N/2); returns a length-2(len(W)-1) real array."""
-    n_full = 2 * (len(W) - 1)
-    W = W.copy()
+    samples (bins 0..N/2, overwritten); returns a length-2(len(W)-1) real
+    array."""
     W[-1] = W[-1].real
-    return np.fft.irfft(np.conj(W), n=n_full) / dt
+    w_time = np.fft.irfft(np.conj(W, out=W), n=2 * (len(W) - 1))
+    w_time /= dt
+    return w_time
 
 
 def _taper(W, frac=0.1):
@@ -205,19 +190,90 @@ def _sing_exponent(measure: SpectralMeasure) -> float | None:
     return None
 
 
-def green1d(model, x: float, n_samples: int, T: float, taper: bool = True,
-            pad_factor: int | None = None) -> Waveform:
-    """1D Green's function at distance x on a uniform grid covering [0, T].
+def _real_axis_fit(f, p0, exps):
+    """Coefficients c_k of f(p) = sum_k c_k p^exps[k] + ..., solved from f
+    sampled at p0 * 2^k (k = 0, 1, ...) on the positive real axis."""
+    pts = p0 * 2.0 ** np.arange(len(exps))
+    return np.linalg.solve(pts[:, None] ** np.asarray(exps, dtype=float),
+                           f(pts))
 
-    ``taper``: raised-cosine window over the top 10% of the band; disable
-    when measuring wavefront discontinuities, which a taper would mask.
-    ``pad_factor``: internal period extension (a power of two); defaults to
-    256 for media with an algebraic relaxation tail and 32 otherwise.
+
+def _low_freq_fit(q, sing_exp, r_scale):
+    """Fit the small-p expansion of q(p) = p V(p) - v_inf of the 1D
+    spectrum V on the real axis.
+
+    Returns (fractional_terms, c_lin): fractional_terms is a list of
+    (exponent, coefficient) pairs covering sig and, when it still lies
+    below 1, 2 sig (whose inverse tail would otherwise outlive the linear
+    term); c_lin is the analytic p^1 coefficient.
     """
+    exps = [] if sing_exp is None else [sing_exp]
+    if sing_exp is not None and 2.0 * sing_exp < 0.95:
+        exps.append(2.0 * sing_exp)
+    basis = exps + [1.0] if exps else [1.0, 2.0]
+    coefs = _real_axis_fit(q, 1e-12 * r_scale, basis)
+    return list(zip(exps, coefs)), float(coefs[len(exps)])
+
+
+@dataclass(frozen=True)
+class _Peel:
+    """One analytically inverted part of the spectrum: ``spectrum(p)`` is
+    subtracted from the bins and ``dc`` from bin 0 (its p -> 0 value, less
+    any singular part the low-frequency fit already carries); ``time(s)``
+    is added back for s >= 0."""
+
+    spectrum: Callable[[np.ndarray], np.ndarray]
+    dc: float
+    time: Callable[[np.ndarray], np.ndarray]
+
+
+def _step_peel(v):
+    """v/p <-> v H(s)."""
+    return _Peel(lambda p: v / p, 0.0, lambda s: np.full_like(s, v))
+
+
+def _exp_peel(c, theta):
+    """c/(p + 1/theta) <-> c e^(-s/theta) H(s)."""
+    return _Peel(lambda p: c / (p + 1.0 / theta), c * theta,
+                 lambda s: c * np.exp(-s / theta))
+
+
+def _kink_peel(j1, la, lb):
+    """j1/((p+la)(p+lb)) <-> j1 (e^(-la s) - e^(-lb s))/(lb - la) H(s)."""
+    return _Peel(lambda p: j1 / ((p + la) * (p + lb)), j1 / (la * lb),
+                 lambda s: j1 * (np.exp(-la * s) - np.exp(-lb * s))
+                 / (lb - la))
+
+
+def _frac_peel(c, e, thetas, weights):
+    """c p^(e-1) sum_i A_i/(1 + theta_i p)
+    <-> c sum_i A_i theta_i^(-e) phi(s/theta_i) H(s),
+    phi(y) = y^(1-e) E_{1,2-e}(-y)."""
+    def spectrum(p):
+        poles = sum(a_i / (1.0 + th_i * p)
+                    for a_i, th_i in zip(weights, thetas))
+        return c * p ** (e - 1.0) * poles
+
+    def time(s):
+        out = np.zeros_like(s)
+        for a_i, th_i in zip(weights, thetas):
+            y = s / th_i
+            nz = y > 0.0
+            out[nz] += c * a_i * th_i ** (-e) * y[nz] ** (1.0 - e) \
+                * ml_e1_neg(2.0 - e, y[nz])
+        return out
+
+    return _Peel(spectrum, 0.0, time)
+
+
+def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
+    """The synthesis core shared by :func:`green1d` and :func:`green3d`."""
     if x <= 0.0:
         raise ValueError("x must be positive")
-    measure, c_inf, c0 = _medium(model)
+    measure, c_inf, c0 = model.spectral_measure(), model.c_inf, model.c0
     if c0 is None:
+        if dim == 3:
+            raise NotImplementedError("3D synthesis requires G_inf > 0")
         return _green1d_fluid(model, x, n_samples, T, taper)
     t_w = x / c_inf
     _validate_sampling(n_samples, T, t_w)
@@ -225,73 +281,87 @@ def green1d(model, x: float, n_samples: int, T: float, taper: bool = True,
     sing = _sing_exponent(measure)
     if pad_factor is None:
         pad_factor = 256 if sing is not None else 32
-    n_full = n_samples * pad_factor
-    dt = T / n_samples
-    t_period = n_full * dt
-    dw = 2.0 * math.pi / t_period
-    omega = np.arange(1, n_full // 2 + 1) * dw
-    p = -1j * omega
-
-    v_inf = 1.0 / (2.0 * c0)
-    beta_inf = beta_at_infinity(model)
-    v_0 = 0.0 if math.isinf(beta_inf) else \
-        math.exp(-beta_inf * x) / (2.0 * c_inf)
+    dt, omega = _bins(n_samples, T, pad_factor)
+    t_period = n_samples * pad_factor * dt
     theta = t_period / _THETA_FRACTION
-    thetas, frac_weights = _frac_poles(t_period / _FRAC_FRACTION)
-    frac_terms, c_lin = _low_freq_fit(model, x, v_inf, sing, measure.r_scale)
     la = 1.0 / (_KINK_SAMPLES * dt)
     lb = la / 2.0
 
-    def remainder(pv):
-        lam = np.asarray(wave_number(model, pv)) / pv
-        beta = np.asarray(dispersion_attenuation(model, pv))
-        rem = 0.5 * lam * np.exp(-beta * x) / pv \
-            - v_inf / pv + (v_inf - v_0) / (pv + 1.0 / theta)
-        for e_k, c_k in frac_terms:
-            for a_i, th_i in zip(frac_weights, thetas):
-                rem = rem - c_k * a_i * pv ** (e_k - 1.0) / (1.0 + th_i * pv)
+    def lam_decay(p):
+        # lam(p) exp(-beta x) and lam = 1/c_inf + beta/p from one beta
+        beta = np.asarray(dispersion_attenuation(model, p))
+        lam = 1.0 / c_inf + beta / p
+        return lam * np.exp(-x * beta), lam
+
+    def spectrum(p):
+        out, lam = lam_decay(p)
+        return 0.5 * out / p if dim == 1 else out * lam / (4.0 * math.pi * x)
+
+    front = math.exp(-beta_at_infinity(model) * x)
+    if dim == 1:
+        dc_step = 0.5 / c0
+        frac_terms, dc = _low_freq_fit(
+            lambda p: 0.5 * lam_decay(p + 0.0j)[0].real - dc_step,
+            sing, measure.r_scale)
+        thetas, weights = _frac_poles(t_period / _FRAC_FRACTION)
+        peels = [_step_peel(dc_step),
+                 _exp_peel(0.5 * front / c_inf - dc_step, theta)]
+        peels += [_frac_peel(c, e, thetas, weights) for e, c in frac_terms]
+        front_delta = 0.0
+        fit_orders = (2,)
+    else:
+        dc_step = 0.0
+        dc = 1.0 / (4.0 * math.pi * x * c0 ** 2)
+        peels = []
+        front_delta = front / (4.0 * math.pi * x * c_inf ** 2)
+        fit_orders = (1, 2)
+
+    # the 1/p (3D) and 1/p^2 content the analytic peels leave is fitted on
+    # the real axis, at one rate well above every scale of the synthesis
+    def residual(p):
+        rem = np.real(spectrum(p + 0.0j)) - front_delta
+        for peel in peels:
+            rem -= np.real(peel.spectrum(p))
         return rem
 
-    # second-order peel: fit the 1/p^2 content left over on the real axis;
-    # pb sits well above every model scale but below the region where the
-    # kappa - p/c_inf cancellation noise dominates
-    pb = 1e3 * max(measure.r_scale, la, 1.0 / theta)
-    y1 = pb ** 2 * float(np.real(remainder(np.array([pb + 0.0j]))[0]))
-    y2 = (2 * pb) ** 2 * float(np.real(remainder(np.array([2 * pb + 0.0j]))[0]))
-    j1 = 2.0 * y2 - y1
+    p_fit = _FIT_RATIO * max(measure.r_scale, la, 1.0 / theta)
+    for order in fit_orders:
+        coef = _real_axis_fit(lambda p: p ** order * residual(p), p_fit,
+                              (0.0, -1.0))[0]
+        peels.append(_exp_peel(coef, theta) if order == 1
+                     else _kink_peel(coef, la, lb))
 
-    w_spec = remainder(p) - j1 / ((p + la) * (p + lb))
-    bin0 = c_lin + (v_inf - v_0) * theta - j1 / (la * lb)
-
-    W = np.concatenate(([bin0], w_spec))
+    W = np.empty(len(omega) + 1, dtype=complex)
+    W[0] = dc - front_delta - sum(peel.dc for peel in peels)
+    p = -1j * omega
+    W[1:] = spectrum(p)
+    W[1:] -= front_delta
+    for peel in peels:
+        W[1:] -= peel.spectrum(p)
     # wavefront shift: integer part as an index roll, fractional part as a
-    # phase on the (smooth, jump-free) remainder spectrum; the steps below
-    # are placed at the exact arrival time
+    # phase on the (smooth, jump-free) remainder spectrum; the peels are
+    # added back at the exact arrival time
     k_shift = int(math.floor(t_w / dt))
     delta = t_w - k_shift * dt
     if delta > 0.0:
-        W = W * np.exp(1j * np.concatenate(([0.0], omega)) * delta)
+        W[1:] *= np.exp(1j * delta * omega)
     if taper:
-        W = _taper(W)
+        _taper(W)
     w_time = _invert(W, dt)
-
+    n_full = len(w_time)
     alias = float(np.max(np.abs(w_time[-max(4, n_full // 512):])))
 
     m = np.arange(n_samples)
-    u = w_time[(m - k_shift) % n_full].copy()
+    u = w_time[(m - k_shift) % n_full]
     s = (m - k_shift) * dt - delta
     pos = s >= 0.0
-    sp = s[pos]
-    steps = v_0 + (v_inf - v_0) * (-np.expm1(-sp / theta))
-    steps = steps + j1 * (np.exp(-la * sp) - np.exp(-lb * sp)) / (lb - la)
-    for e_k, c_k in frac_terms:
-        for a_i, th_i in zip(frac_weights, thetas):
-            y = sp / th_i
-            phi = np.zeros_like(sp)
-            nz = y > 0.0
-            phi[nz] = y[nz] ** (1.0 - e_k) * ml_e1_neg(2.0 - e_k, y[nz])
-            steps = steps + c_k * a_i * th_i ** (-e_k) * phi
-    u[pos] += steps
+    u[pos] += sum(peel.time(s[pos]) for peel in peels)
+    if front_delta != 0.0 and 0 <= k_shift < n_samples:
+        # delta at the exact arrival time, split between the two samples
+        frac = delta / dt
+        u[k_shift] += front_delta * (1.0 - frac) / dt
+        if k_shift + 1 < n_samples:
+            u[k_shift + 1] += front_delta * frac / dt
 
     peak = float(np.max(np.abs(u)))
     if alias > _ALIAS_LIMIT * peak:
@@ -304,8 +374,31 @@ def green1d(model, x: float, n_samples: int, T: float, taper: bool = True,
         samples=u,
         x=x,
         wavefront_time=t_w,
-        dc_step_amplitude=v_inf,
+        dc_step_amplitude=dc_step,
+        front_delta_area=front_delta,
     )
+
+
+def green1d(model, x: float, n_samples: int, T: float, taper: bool = True,
+            pad_factor: int | None = None) -> Waveform:
+    """1D Green's function at distance x on a uniform grid covering [0, T].
+
+    ``taper``: raised-cosine window over the top 10% of the band; disable
+    when measuring wavefront discontinuities, which a taper would mask.
+    ``pad_factor``: internal period extension (a power of two); defaults to
+    256 for media with an algebraic relaxation tail and 32 otherwise.
+    """
+    return _synthesize(model, x, n_samples, T, taper, pad_factor, dim=1)
+
+
+def green3d(model, x: float, n_samples: int, T: float, taper: bool = True,
+            pad_factor: int | None = None) -> Waveform:
+    """3D Green's function via the frequency-domain reduction
+    u3^(w, x) = kappa(-i w)/(2 pi x) * u1^(w, x).
+
+    Media with finite spectral mass carry a genuine delta at the front; it
+    is added as a single-sample spike of the analytically known area."""
+    return _synthesize(model, x, n_samples, T, taper, pad_factor, dim=3)
 
 
 def _green1d_fluid(model, x, n_samples, T, taper):
@@ -329,14 +422,9 @@ def _green1d_fluid(model, x, n_samples, T, taper):
             "regime are not supported")
     _validate_sampling(n_samples, T, None)
     g = 1.0 - model.measure.tail_exponent_high      # kappa ~ C p^g
-    c_b = model.measure.beta_fn(1.0 + 0.0j).real    # C = beta(1)
+    c_b = wave_number(model, 1.0 + 0.0j).real       # C = kappa(1)
 
-    pad = 32
-    n_full = n_samples * pad
-    dt = T / n_samples
-    t_period = n_full * dt
-    dw = 2.0 * math.pi / t_period
-    omega = np.arange(1, n_full // 2 + 1) * dw
+    dt, omega = _bins(n_samples, T, 32)
     p = -1j * omega
     theta = T / 64.0
 
@@ -364,9 +452,8 @@ def _green1d_fluid(model, x, n_samples, T, taper):
 
     W = np.concatenate(([0.0 + 0.0j], v_spec))
     if taper:
-        W = _taper(W)
-    w_time = _invert(W, dt)
-    u = w_time[:n_samples] + addback
+        _taper(W)
+    u = _invert(W, dt)[:n_samples] + addback
 
     return Waveform(
         time_grid=t,
@@ -388,102 +475,6 @@ def _e1b_ext(beta: float, y: np.ndarray) -> np.ndarray:
     out[nz] = (rgamma(beta - 1.0) - inner[nz]) / y[nz]
     out[~nz] = rgamma(beta)
     return out
-
-
-def green3d(model, x: float, n_samples: int, T: float, taper: bool = True,
-            pad_factor: int | None = None) -> Waveform:
-    """3D Green's function via the frequency-domain reduction
-    u3^(w, x) = kappa(-i w)/(2 pi x) * u1^(w, x).
-
-    Media with finite spectral mass carry a genuine delta at the front; it
-    is added as a single-sample spike of the analytically known area."""
-    if x <= 0.0:
-        raise ValueError("x must be positive")
-    measure, c_inf, c0 = _medium(model)
-    if c0 is None:
-        raise NotImplementedError("3D synthesis requires G_inf > 0")
-    t_w = x / c_inf
-    _validate_sampling(n_samples, T, t_w)
-
-    sing = _sing_exponent(measure)
-    if pad_factor is None:
-        pad_factor = 256 if sing is not None else 32
-    n_full = n_samples * pad_factor
-    dt = T / n_samples
-    t_period = n_full * dt
-    dw = 2.0 * math.pi / t_period
-    omega = np.arange(1, n_full // 2 + 1) * dw
-    p = -1j * omega
-
-    lam = np.asarray(wave_number(model, p)) / p
-    beta = np.asarray(dispersion_attenuation(model, p))
-    pref = 1.0 / (4.0 * math.pi * x)
-    v_spec = lam * lam * np.exp(-beta * x) * pref
-
-    beta_inf = beta_at_infinity(model)
-    c_delta = 0.0 if math.isinf(beta_inf) else \
-        pref * math.exp(-beta_inf * x) / c_inf ** 2
-    theta = t_period / _THETA_FRACTION
-    la = 1.0 / (_KINK_SAMPLES * dt)
-    lb = la / 2.0
-
-    def v3(pr: float) -> float:
-        lam_r = complex(wave_number(model, complex(pr))) / pr
-        beta_r = complex(dispersion_attenuation(model, complex(pr))).real
-        return (lam_r * lam_r).real * math.exp(-beta_r * x) * pref
-
-    p_big = 1e3 * max(measure.r_scale, 1.0 / theta)
-    y1 = p_big * (v3(p_big) - c_delta)
-    y2 = 2.0 * p_big * (v3(2.0 * p_big) - c_delta)
-    j3 = 2.0 * y2 - y1
-
-    # second-order peel of the post-jump slope, as in the 1D path; the fit
-    # point stays moderate, where the spectrum limit is still clean of
-    # cancellation noise
-    def rem3(pr: float) -> float:
-        return v3(pr) - c_delta - j3 / (pr + 1.0 / theta)
-
-    pk = 1e2 * max(measure.r_scale, la, 1.0 / theta)
-    z1 = pk ** 2 * rem3(pk)
-    z2 = (2.0 * pk) ** 2 * rem3(2.0 * pk)
-    j1 = 2.0 * z2 - z1
-
-    w_spec = v_spec - c_delta - j3 / (p + 1.0 / theta) \
-        - j1 / ((p + la) * (p + lb))
-    bin0 = v3(1e-12 * measure.r_scale) - c_delta - j3 * theta \
-        - j1 / (la * lb)
-
-    W = np.concatenate(([bin0], w_spec))
-    k_shift = int(math.floor(t_w / dt))
-    delta = t_w - k_shift * dt
-    if delta > 0.0:
-        W = W * np.exp(1j * np.concatenate(([0.0], omega)) * delta)
-    if taper:
-        W = _taper(W)
-    w_time = _invert(W, dt)
-
-    m = np.arange(n_samples)
-    u = w_time[(m - k_shift) % n_full].copy()
-    s = (m - k_shift) * dt - delta
-    pos = s >= 0.0
-    sp = s[pos]
-    u[pos] += j3 * np.exp(-sp / theta) \
-        + j1 * (np.exp(-la * sp) - np.exp(-lb * sp)) / (lb - la)
-    if c_delta != 0.0 and 0 <= k_shift < n_samples:
-        # delta at the exact arrival time, split between the two samples
-        frac = delta / dt
-        u[k_shift] += c_delta * (1.0 - frac) / dt
-        if k_shift + 1 < n_samples:
-            u[k_shift + 1] += c_delta * frac / dt
-
-    return Waveform(
-        time_grid=m * dt,
-        samples=u,
-        x=x,
-        wavefront_time=t_w,
-        dc_step_amplitude=0.0,
-        front_delta_area=c_delta,
-    )
 
 
 def causality_metric(w: Waveform) -> float:

@@ -120,7 +120,7 @@ class ColeCole:
         _require(self.a > 1.0, "Cole-Cole requires a > 1")
         _require(0.0 < self.alpha < 1.0, "Cole-Cole requires 0 < alpha < 1")
         _require(self.tau > 0.0, "tau must be positive")
-        _require(self.g_inf > 0.0, "G_inf must be positive")
+        _require(0.0 < self.g_inf < math.inf, "G_inf must be positive and finite")
         _require(self.rho > 0.0, "rho must be positive")
 
     @property
@@ -151,7 +151,7 @@ class StandardLinearSolid:
     def __post_init__(self):
         _require(self.a > 1.0, "SLS requires a > 1")
         _require(self.tau > 0.0, "tau must be positive")
-        _require(self.g_inf > 0.0, "G_inf must be positive")
+        _require(0.0 < self.g_inf < math.inf, "G_inf must be positive and finite")
         _require(self.rho > 0.0, "rho must be positive")
 
     @property
@@ -186,7 +186,7 @@ class HavriliakNegami:
         _require(0.0 < self.alpha < 1.0, "Havriliak-Negami requires 0 < alpha < 1")
         _require(0.0 < self.gamma <= 1.0, "Havriliak-Negami requires 0 < gamma <= 1")
         _require(self.tau > 0.0, "tau must be positive")
-        _require(self.g0 > 0.0, "G_0 must be positive")
+        _require(0.0 < self.g0 < math.inf, "G_0 must be positive and finite")
         _require(self.rho > 0.0, "rho must be positive")
 
     @property
@@ -222,7 +222,7 @@ class ColeDavidson:
         _require(0.0 < self.b <= 1.0, "Cole-Davidson requires 0 < b <= 1")
         _require(0.0 < self.gamma <= 1.0, "Cole-Davidson requires 0 < gamma <= 1")
         _require(self.tau > 0.0, "tau must be positive")
-        _require(self.g0 > 0.0, "G_0 must be positive")
+        _require(0.0 < self.g0 < math.inf, "G_0 must be positive and finite")
         _require(self.rho > 0.0, "rho must be positive")
 
     @property

@@ -1,12 +1,16 @@
-"""Complex modulus, wave number and dispersion-attenuation function.
+"""Complex modulus, dispersion-attenuation function and wave number.
 
 All evaluators live on the cut complex plane |arg p| < pi and use principal
-branches throughout.  Because the complex modulus of a completely monotonic
-relaxation modulus maps the upper half-plane into itself and is positive on
-the positive real axis, its values never cross the negative real axis and
-the principal square root yields the analytic branch with
-Re kappa(-i omega) >= 0.  A one-time sign test at p = -i/tau guards that
-convention per model.
+branches throughout.  The dispersion-attenuation function
+beta(p) = p int h(r)/(p+r) dr is computed first, in one place, and the wave
+number is kappa(p) = p/c_inf + beta(p) for every medium.  For the analytic
+families beta comes from the closed-form deficit G0 - Q(p) of the complex
+modulus, so it keeps full relative accuracy far above the relaxation rates,
+where kappa - p/c_inf would cancel.  Because the complex modulus of a
+completely monotonic relaxation modulus maps the upper half-plane into
+itself and is positive on the positive real axis, its values never cross
+the negative real axis and the principal square root gives the analytic
+branch with Re kappa(-i omega) >= 0.
 
 The branch-cut limit of kappa(p)/p recovers the spectral density: the jump
 oracle here is the independent cross-check against the closed-form densities
@@ -17,17 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from ._quad import integrate_measure
 from .measures import (
     ColeCole,
     ColeDavidson,
     HavriliakNegami,
     SpectralMeasure,
     StandardLinearSolid,
-    spectral_measure,
 )
 
 __all__ = [
@@ -83,62 +86,68 @@ def _check_cut(p: np.ndarray) -> None:
         raise ValueError("p on the closed negative real axis (branch cut)")
 
 
+def _modulus_parts(model, p):
+    """(Q(p), G0 - Q(p)) of an analytic relaxation model.
+
+    The deficit G0 - Q is formed in closed form from the same power
+    (tau p)^alpha as Q itself, never by subtracting two moduli:
+    G_inf (a - 1)/(1 + (tau p)^alpha) for Cole-Cole and the SLS,
+    G0 b (1 + (tau p)^alpha)^-gamma for Havriliak-Negami and Cole-Davidson.
+    """
+    if isinstance(model, (ColeCole, StandardLinearSolid)):
+        alpha = model.alpha if isinstance(model, ColeCole) else 1.0
+        xa = np.power(model.tau * p, alpha)
+        denom = 1.0 + xa
+        return (model.g_inf * (1.0 + model.a * xa) / denom,
+                model.g_inf * (model.a - 1.0) / denom)
+    if isinstance(model, (HavriliakNegami, ColeDavidson)):
+        alpha = model.alpha if isinstance(model, HavriliakNegami) else 1.0
+        relaxed = np.power(1.0 + np.power(model.tau * p, alpha), -model.gamma)
+        return (model.g0 * (1.0 - model.b * relaxed),
+                model.g0 * model.b * relaxed)
+    raise TypeError(f"no complex modulus for {type(model).__name__}")
+
+
 def complex_modulus(model, p):
     """Q(p) = p * (Laplace transform of the relaxation modulus)."""
     p = np.asarray(p, dtype=complex)
     _check_cut(p)
-    if isinstance(model, (ColeCole, StandardLinearSolid)):
-        alpha = model.alpha if isinstance(model, ColeCole) else 1.0
-        xa = np.power(model.tau * p, alpha)
-        q = model.g_inf * (1.0 + model.a * xa) / (1.0 + xa)
-    elif isinstance(model, (HavriliakNegami, ColeDavidson)):
-        alpha = model.alpha if isinstance(model, HavriliakNegami) else 1.0
-        xa = np.power(model.tau * p, alpha)
-        q = model.g0 * (1.0 - model.b * np.power(1.0 + xa, -model.gamma))
-    elif isinstance(model, MeasureMedium):
-        kap = wave_number(model, p)
-        q = model.rho * (p / kap) ** 2
+    if isinstance(model, MeasureMedium):
+        q = model.rho * (p / np.asarray(wave_number(model, p))) ** 2
     else:
-        raise TypeError(f"no complex modulus for {type(model).__name__}")
+        q = _modulus_parts(model, p)[0]
     return q if q.shape else complex(q)
 
 
-@lru_cache(maxsize=None)
-def _branch_sign(model) -> float:
-    p0 = -1j / model.tau
-    kap = math.sqrt(model.rho) * p0 / np.sqrt(complex(complex_modulus(model, p0)))
-    return 1.0 if kap.real >= 0.0 else -1.0
+def dispersion_attenuation(model, p):
+    """beta(p) = p int h(r)/(p+r) dr; Re beta >= 0 on the closed right
+    half-plane.
 
-
-def wave_number(model, p):
-    """kappa(p) = sqrt(rho) * p / sqrt(Q(p)), branch with Re kappa(-i w) >= 0."""
+    For the analytic families kappa - p/c_inf is evaluated without the
+    cancellation of that difference, as
+    beta = p sqrt(rho) (G0 - Q)/(sqrt(Q) sqrt(G0) (sqrt(G0) + sqrt(Q))).
+    """
     p = np.asarray(p, dtype=complex)
     _check_cut(p)
     if isinstance(model, MeasureMedium):
-        beta = model.measure.beta_fn(p)
-        if math.isinf(model.c_inf):
-            kap = np.asarray(beta, dtype=complex)
-        else:
-            kap = p / model.c_inf + beta
-        return kap if kap.shape else complex(kap)
-    q = complex_modulus(model, p)
-    kap = _branch_sign(model) * math.sqrt(model.rho) * p / np.sqrt(q)
-    return kap if np.asarray(kap).shape else complex(kap)
-
-
-def dispersion_attenuation(model, p):
-    """beta(p) = kappa(p) - p/c_inf; Re beta >= 0 on the closed right half-plane."""
-    p = np.asarray(p, dtype=complex)
-    if isinstance(model, MeasureMedium):
         beta = np.asarray(model.measure.beta_fn(p), dtype=complex)
-        _check_cut(p)
-        return beta if beta.shape else complex(beta)
-    c_inf = model.c_inf
-    if not math.isfinite(c_inf):
-        raise ValueError("model has no finite wavefront speed")
-    beta = wave_number(model, p) - p / c_inf
-    beta = np.asarray(beta)
+    else:
+        q, deficit = _modulus_parts(model, p)
+        root_q, root_g0 = np.sqrt(q), math.sqrt(model.g0)
+        beta = p * math.sqrt(model.rho) * deficit \
+            / (root_q * root_g0 * (root_g0 + root_q))
     return beta if beta.shape else complex(beta)
+
+
+def wave_number(model, p):
+    """kappa(p) = p/c_inf + beta(p) (= sqrt(rho) p/sqrt(Q(p)) on the
+    principal branch, Re kappa(-i w) >= 0)."""
+    p = np.asarray(p, dtype=complex)
+    beta = dispersion_attenuation(model, p)
+    if math.isinf(model.c_inf):
+        return beta
+    kap = p / model.c_inf + beta
+    return kap if kap.shape else complex(kap)
 
 
 def attenuation_from_wavenumber(model, omega):
@@ -189,20 +198,9 @@ def branch_cut_density(model, r, eps: float = 1e-3):
 
 
 def beta_at_infinity(model) -> float:
-    """Limit of beta(p) as p -> +inf along the real axis; inf when the
-    measure has infinite mass (algebraically decaying density).
-
-    Uses a three-point Richardson fit beta = b - b1/p + b2/p^2 at moderate
-    p: far larger arguments lose the limit in the kappa - p/c_inf
-    cancellation noise.
-    """
-    measure = model.spectral_measure() if not isinstance(model, MeasureMedium) \
-        else model.measure
+    """Limit of beta(p) as p -> +inf: the mass int h(r) dr of the measure,
+    inf when the density decays only algebraically."""
+    measure = model.spectral_measure()
     if not measure.all_moments_finite:
         return math.inf
-    p0 = 1e4 * measure.r_scale
-
-    def b(p):
-        return float(np.real(dispersion_attenuation(model, p + 0.0j)))
-
-    return (8.0 * b(4.0 * p0) - 6.0 * b(2.0 * p0) + b(p0)) / 3.0
+    return integrate_measure(measure, lambda r: 1.0)

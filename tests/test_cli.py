@@ -5,7 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+import cmwave.cli
 from cmwave.cli import main
+from cmwave.verification import PVConvergenceError
+from cmwave.wavenumber import JumpExtrapolationError
 
 CC_ARGS = ["--model", "cole-cole", "--a", "1.5", "--alpha", "0.5",
            "--tau", "1e-13", "--cinf", "5000"]
@@ -165,3 +168,35 @@ def test_malformed_config_exits_2(tmp_path):
     proc = run_cli(["curves", "--model", "cole-cole", "--config", str(cfg),
                     "--range", "1:10"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "power-law", "--acoef", "0.0065", "--gammaexp", "0.75",
+     "--dim", "3"],
+    ["--model", "finite-band", "--height", "1", "--rlo", "0", "--rhi", "2",
+     "--cinf", "5000"],
+])
+def test_unsupported_greens_medium_exits_2(argv, capsys):
+    rc = main(["greens", *argv, "--x", "1", "--T", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_nonfinite_cinf_exits_2(capsys):
+    rc = main(["curves", "--model", "cole-cole", "--a", "1.5", "--alpha",
+               "0.5", "--tau", "1e-13", "--cinf", "inf", "--range", "1:10",
+               "--ppd", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("exc", [JumpExtrapolationError, PVConvergenceError])
+def test_numerical_errors_exit_3(exc, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise exc("did not converge")
+
+    monkeypatch.setattr(cmwave.cli, "kk_residual", fail)
+    rc = main(["verify", "--model", "sls", "--a", "1.5", "--tau", "1e-13",
+               "--cinf", "5000"])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err

@@ -122,6 +122,27 @@ def test_engine_matches_wavenumber_path(model_name, request):
         assert abs(d_quad - d_kappa) <= 1e-6 * abs(d_kappa)
 
 
+@pytest.fixture(scope="module")
+def sls_stiff():
+    # a = 1e4: c0 is a hundredth of c_inf, beta is small against p/c_inf
+    return cw.StandardLinearSolid(a=1e4, tau=1e-13,
+                                  g_inf=(5000.0 / 100.0) ** 2)
+
+
+@pytest.mark.parametrize("model_name", ["sls", "sls_stiff", "cc", "hn", "cd"])
+def test_engine_matches_closed_form_beta_at_high_frequency(model_name,
+                                                           request):
+    # far above the relaxation rates D(w) is a small part of |kappa|; the
+    # closed-form beta must keep its relative accuracy there
+    model = request.getfixturevalue(model_name)
+    meas = cw.spectral_measure(model)
+    for w in (1e2 / TAU, 1e4 / TAU, 1e6 / TAU):
+        a_kappa = float(attenuation_from_wavenumber(model, w))
+        d_kappa = float(dispersion_from_wavenumber(model, w))
+        assert attenuation(meas, w) == pytest.approx(a_kappa, rel=1e-9)
+        assert dispersion(meas, w) == pytest.approx(d_kappa, rel=1e-9)
+
+
 def test_quadrature_error_carries_estimate():
     from cmwave._quad import QuadratureError, integrate_density
 

@@ -200,7 +200,8 @@ def test_waveform_csv_roundtrip(tmp_path):
     assert float(u0) == pytest.approx(w.samples[0])
 
 
-def test_spectral_decay_error_raised():
+@pytest.mark.parametrize("synth", [green1d, green3d])
+def test_spectral_decay_error_raised(synth):
     from cmwave.greens import SpectralDecayError
 
     # extreme fractional content at minimal padding cannot reach the
@@ -210,4 +211,4 @@ def test_spectral_decay_error_raised():
                             g0=RHO * C_INF ** 2, rho=RHO)
     x = 16 * hn.c_inf * hn.tau
     with pytest.raises(SpectralDecayError):
-        green1d(hn, x=x, n_samples=4096, T=4 * x / hn.c_inf, pad_factor=8)
+        synth(hn, x=x, n_samples=4096, T=4 * x / hn.c_inf, pad_factor=8)

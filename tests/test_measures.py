@@ -28,6 +28,18 @@ def test_parameter_validation():
         cw.make_finiteband_measure(1.0, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("modulus", [math.inf, math.nan])
+def test_nonfinite_modulus_rejected(modulus):
+    with pytest.raises(ValueError):
+        cw.ColeCole(a=1.5, alpha=0.5, tau=TAU, g_inf=modulus)
+    with pytest.raises(ValueError):
+        cw.StandardLinearSolid(a=1.5, tau=TAU, g_inf=modulus)
+    with pytest.raises(ValueError):
+        cw.HavriliakNegami(b=0.5, alpha=0.5, gamma=0.5, tau=TAU, g0=modulus)
+    with pytest.raises(ValueError):
+        cw.ColeDavidson(b=0.5, gamma=0.5, tau=TAU, g0=modulus)
+
+
 def test_derived_speeds(cc, hn):
     assert cc.c0 == pytest.approx(math.sqrt(cc.g_inf / cc.rho), rel=1e-15)
     assert cc.c_inf / cc.c0 == pytest.approx(math.sqrt(cc.a), rel=1e-14)
