@@ -132,6 +132,8 @@ def integrate_density(f, r_lo, r_hi, *, landmarks=(), low_exp=0.0,
             total += v
             err += e
 
+    if not (math.isfinite(total) and math.isfinite(err)):
+        raise QuadratureError("non-finite integral", err)
     if err > rel_tol * abs(total) + 1e-300:
         raise QuadratureError("quadrature did not converge", err)
     return total

@@ -57,10 +57,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import rgamma
 
 from .measures import SpectralMeasure
-from .mittag_leffler import ml_e1_neg
+from .mittag_leffler import mittag_leffler, ml_e1_neg
 from .wavenumber import MeasureMedium, beta_at_infinity, dispersion_attenuation, wave_number
 
 __all__ = [
@@ -444,8 +443,7 @@ def _green1d_fluid(model, x, n_samples, T, taper):
     while work:
         coef, s_exp = work.pop()
         v_spec -= coef * p ** s_exp / (1.0 + theta * p)
-        y = t / theta
-        e = _e1b_ext(1.0 - s_exp, y)
+        e = mittag_leffler(1.0, 1.0 - s_exp, -t / theta)
         addback += (coef / theta) * t ** (-s_exp) * e
         if s_exp + 1.0 < -0.05:
             work.append((coef * theta, s_exp + 1.0))
@@ -462,19 +460,6 @@ def _green1d_fluid(model, x, n_samples, T, taper):
         wavefront_time=None,
         dc_step_amplitude=0.0,
     )
-
-
-def _e1b_ext(beta: float, y: np.ndarray) -> np.ndarray:
-    """E_{1,beta}(-y) for beta in (1, 3], via one downward recurrence step
-    E_{1,b}(-y) = (rgamma(b-1) - E_{1,b-1}(-y))/y when beta > 2."""
-    if beta <= 2.0:
-        return ml_e1_neg(beta, y)
-    inner = ml_e1_neg(beta - 1.0, y)
-    out = np.empty_like(np.asarray(y, dtype=float))
-    nz = y > 0.0
-    out[nz] = (rgamma(beta - 1.0) - inner[nz]) / y[nz]
-    out[~nz] = rgamma(beta)
-    return out
 
 
 def causality_metric(w: Waveform) -> float:

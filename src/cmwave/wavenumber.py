@@ -199,8 +199,22 @@ def branch_cut_density(model, r, eps: float = 1e-3):
 
 def beta_at_infinity(model) -> float:
     """Limit of beta(p) as p -> +inf: the mass int h(r) dr of the measure,
-    inf when the density decays only algebraically."""
-    measure = model.spectral_measure()
-    if not measure.all_moments_finite:
-        return math.inf
-    return integrate_measure(measure, lambda r: 1.0)
+    inf when the density decays only algebraically.
+
+    For the analytic families it is the closed-form limit
+    sqrt(rho) lim p (G0 - Q)/(2 G0^(3/2)), finite exactly when the deficit
+    decays like 1/p: the SLS and Cole-Davidson with gamma = 1 (the deficit
+    of Havriliak-Negami and Cole-Cole decays like p^-(alpha gamma) and
+    p^-alpha with alpha < 1).  A MeasureMedium integrates its measure.
+    """
+    if isinstance(model, MeasureMedium):
+        measure = model.measure
+        if not measure.all_moments_finite:
+            return math.inf
+        return integrate_measure(measure, lambda r: 1.0)
+    scale = math.sqrt(model.rho) / (2.0 * model.tau)
+    if isinstance(model, StandardLinearSolid):
+        return scale * model.g_inf * (model.a - 1.0) / model.g0 ** 1.5
+    if isinstance(model, ColeDavidson) and model.gamma == 1.0:
+        return scale * model.b / math.sqrt(model.g0)
+    return math.inf

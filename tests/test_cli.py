@@ -200,3 +200,25 @@ def test_numerical_errors_exit_3(exc, monkeypatch, capsys):
                "--cinf", "5000"])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_nonfinite_attenuation_exits_3(capsys):
+    lo = 1.0001 / (1.5e-13 * 1e6)   # 1e-4 above the SLS support edge, MHz
+    rc = main(["curves", "--model", "sls", "--a", "1.5", "--tau", "1e-13",
+               "--cinf", "5000", "--range", f"{lo!r}:{lo * 10.0!r}",
+               "--ppd", "4"])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_mittag_leffler_path_leaves_mpmath_unloaded():
+    code = ("import sys, cmwave, cmwave.cli\n"
+            "from cmwave.mittag_leffler import cole_cole_relaxation_modulus\n"
+            "cc = cmwave.ColeCole(a=1.5, alpha=0.5, tau=1e-13, g_inf=1.0)\n"
+            "cole_cole_relaxation_modulus(cc, 1e-13)\n"
+            f"rc = cmwave.cli.main(['verify', *{CC_ARGS!r}])\n"
+            "assert rc == 0, rc\n"
+            "assert 'mpmath' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr

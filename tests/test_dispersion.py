@@ -150,3 +150,15 @@ def test_quadrature_error_carries_estimate():
         integrate_density(lambda r: 1.0 / (1.0 + r), 0.0, math.inf,
                           low_exp=0.0, high_exp=1.0)
     assert err.value.achieved == math.inf
+
+
+def test_nonfinite_integral_raises():
+    # just above the SLS support edge 1/(a tau) the density quadrature
+    # meets a division by zero; the engine must not return inf
+    from cmwave._quad import QuadratureError
+
+    sls = cw.StandardLinearSolid(a=1.5, tau=1e-3, g_inf=1.0)
+    omega = 1.0001 / (1.5e-3)
+    for fn in (attenuation, dispersion):
+        with pytest.raises(QuadratureError):
+            fn(sls, omega)

@@ -212,3 +212,18 @@ def test_spectral_decay_error_raised(synth):
     x = 16 * hn.c_inf * hn.tau
     with pytest.raises(SpectralDecayError):
         synth(hn, x=x, n_samples=4096, T=4 * x / hn.c_inf, pad_factor=8)
+
+
+def test_cd_gamma_one_keeps_the_front_jump():
+    # Cole-Davidson with gamma = 1 equals the SLS with a = 1/(1 - b); its
+    # finite beta(inf) keeps the front jump out of the FFT remainder
+    x = 1e-2
+    tau = (x / C_INF) / 50
+    sls = cw.StandardLinearSolid(a=2.0, tau=tau, g_inf=RHO * C_INF ** 2 / 2,
+                                 rho=RHO)
+    cd = cw.ColeDavidson(b=0.5, gamma=1.0, tau=tau, g0=RHO * C_INF ** 2,
+                         rho=RHO)
+    w_sls = green1d(sls, x=x, n_samples=4096, T=4 * x / C_INF)
+    w_cd = green1d(cd, x=x, n_samples=4096, T=4 * x / C_INF)
+    assert causality_metric(w_cd) <= 2.0 * causality_metric(w_sls)
+    assert causality_metric(w_cd) <= 1e-6

@@ -1,18 +1,36 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfcx
 
 import cmwave as cw
 from cmwave.mittag_leffler import (
-    _asymptotic,
-    _crossover,
-    _series_mp,
     cole_cole_relaxation_modulus,
     mittag_leffler,
     ml_e1_neg,
 )
+
+
+def series_reference(alpha, beta, z):
+    """Defining power series in arbitrary precision: the largest term is
+    ~exp(|z|^(1/alpha)), so the working precision grows with it."""
+    w = abs(z) ** (1.0 / alpha)
+    dps = 30 + int(w / 2.0)
+    with mpmath.workdps(dps):
+        al, be, zz = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
+        total, zk, k = mpmath.mpf(0), mpmath.mpf(1), 0
+        floor = mpmath.mpf(10) ** (-dps + 3)
+        while True:
+            term = zk * mpmath.rgamma(al * k + be)
+            total += term
+            k += 1
+            zk *= zz
+            if alpha * k > w + 5 and abs(term) < floor * (1 + abs(total)):
+                return float(total)
 
 
 def test_exponential_case():
@@ -47,15 +65,18 @@ def test_parameter_validation():
         mittag_leffler(0.5, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.75, 1 / 1.3])
-def test_crossover_overlap_agreement(alpha):
-    # build-time validation: both representations agree on the overlap
-    zs = _crossover(alpha, 1.0)
-    for f in (1.0, 1.3, 1.8):
-        z = -zs * f
-        s = _series_mp(alpha, 1.0, z)
-        a, _ = _asymptotic(alpha, 1.0, z)
-        assert abs(a - s) <= 1e-8 * abs(s)
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.5])
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_series_spot_check(alpha, beta):
+    # |z| <= 20, kept where the series' precision stays affordable
+    x = np.array([v for v in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
+                  if v ** (1.0 / alpha) <= 400.0])
+    got = mittag_leffler(alpha, beta, -x)
+    for xi, g in zip(x, got):
+        assert g == pytest.approx(series_reference(alpha, beta, -xi),
+                                  rel=1e-12)
+        scalar = mittag_leffler(alpha, beta, -xi)
+        assert scalar == pytest.approx(g, rel=1e-14)
 
 
 @pytest.mark.parametrize("alpha", [0.4, 0.7])
@@ -116,10 +137,39 @@ def test_ml_e1_neg_windows():
     for beta in (1.25, 1.5, 2.0):
         ys = np.array([0.0, 1.0, 4.0, 12.0, 29.0, 30.0, 100.0])
         got = ml_e1_neg(beta, ys)
-        ref = np.array([_series_mp(1.0, beta, -y) if y <= 40 else None
+        ref = np.array([series_reference(1.0, beta, -y) if y <= 40 else None
                         for y in ys], dtype=object)
         for g, r in zip(got, ref):
             if r is not None:
                 assert g == pytest.approx(r, rel=5e-9)
     with pytest.raises(ValueError):
         ml_e1_neg(2.5, np.array([1.0]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.01, 0.99), a=st.floats(1.05, 5.0),
+       pt=st.floats(0.1, 10.0))
+def test_relaxation_modulus_properties(alpha, a, pt):
+    # G(t) lies in (G_inf, a G_inf), does not increase, and its Laplace
+    # transform at p = pt/tau reproduces Q(p)/p
+    from scipy.integrate import quad
+
+    tau = 1e-6
+    model = cw.ColeCole(a=a, alpha=alpha, tau=tau, g_inf=1.0)
+    g = np.array([cole_cole_relaxation_modulus(model, t * tau)
+                  for t in np.logspace(-2.0, 1.5, 6)])
+    assert np.all((g > model.g_inf) & (g < a * model.g_inf))
+    assert np.all(np.diff(g) <= 0.0)
+
+    p = pt / tau
+
+    def integrand(u):
+        return cole_cole_relaxation_modulus(model, u / p) * math.exp(-u) / p
+
+    total = 0.0
+    grid = sorted({0.0, pt * 1e-6, pt * 1e-3, pt, min(10 * pt, 60.0), 60.0})
+    for lo, hi in zip(grid, grid[1:]):
+        v, _ = quad(integrand, lo, hi, limit=400, epsabs=1e-30, epsrel=1e-11)
+        total += v
+    target = complex(cw.complex_modulus(model, p + 0j)).real / p
+    assert total == pytest.approx(target, rel=1e-6)

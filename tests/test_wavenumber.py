@@ -150,3 +150,22 @@ def test_jump_oracle_flags_unresolvable_point(sls):
     r = (1 / 1.5 + 1e-7) / sls.tau
     with pytest.raises(JumpExtrapolationError):
         branch_cut_density(sls, r, eps=1e-3)
+
+
+def test_beta_at_infinity_closed_form():
+    # Cole-Davidson with gamma = 1 is the SLS with a = 1/(1 - b)
+    from cmwave._quad import integrate_measure
+    from cmwave.wavenumber import beta_at_infinity
+
+    cd = cw.ColeDavidson(b=0.5, gamma=1.0, tau=0.1, g0=0.2)
+    sls = cw.StandardLinearSolid(a=2.0, tau=0.1, g_inf=0.1)
+    assert beta_at_infinity(cd) == pytest.approx(beta_at_infinity(sls),
+                                                 rel=1e-15)
+    assert beta_at_infinity(cd) == pytest.approx(math.sqrt(5.0) * 2.5,
+                                                 rel=1e-15)
+    # the mass of the SLS band, by quadrature of the measure
+    mass = integrate_measure(sls.spectral_measure(), lambda r: 1.0)
+    assert mass == pytest.approx(beta_at_infinity(sls), rel=1e-12)
+    for model in (cw.ColeDavidson(b=0.5, gamma=0.9, tau=0.1, g0=0.2),
+                  cw.ColeCole(a=2.0, alpha=0.9, tau=0.1, g_inf=0.1)):
+        assert beta_at_infinity(model) == math.inf
