@@ -12,6 +12,7 @@ endpoints where the density is singular (or merely non-smooth).
 from __future__ import annotations
 
 import math
+import sys
 
 from scipy.integrate import quad
 
@@ -23,6 +24,10 @@ _LIMIT = 200
 _OFFSETS = (1.5, 5.0, 15.0)
 # e^-45 ~ 3e-20: discarded mass is below double roundoff
 _LOG_REACH = 45.0
+# log-space limits of the normal doubles; a window past them would
+# overflow exp() or underflow the rate to 0
+_LOG_MIN = math.log(sys.float_info.min)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class QuadratureError(RuntimeError):
@@ -90,6 +95,9 @@ def integrate_density(f, r_lo, r_hi, *, landmarks=(), low_exp=0.0,
             u_lo = min(refs) - _LOG_REACH / min(low_exp + 1.0, 3.0)
         else:
             u_lo = math.log(r_lo)
+        if u_lo < _LOG_MIN or u_hi > _LOG_MAX:
+            raise QuadratureError("integration window beyond the double "
+                                  "range", math.inf)
 
         breaks = {u_lo, u_hi}
         for u in refs:

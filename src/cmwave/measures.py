@@ -397,9 +397,10 @@ def cd_spectral_density(model: ColeDavidson, r):
 
     x_edge = 1.0 - b ** (1.0 / gamma)
     lower = (x > x_edge) & (x < 1.0)
-    y = np.power(1.0 - x, -gamma, where=lower, out=np.zeros_like(x))
+    # b (1 - x)^-gamma - 1 without cancellation as x -> 0 when b = 1
+    excess = np.expm1(math.log(b) - gamma * np.log1p(-np.where(lower, x, 0.0)))
     with np.errstate(invalid="ignore", divide="ignore"):
-        val_lo = pref / np.sqrt(b * y - 1.0)
+        val_lo = pref / np.sqrt(excess)
 
     if h.shape:
         h[upper] = val_up[upper]
@@ -453,7 +454,9 @@ def spectral_measure(model) -> SpectralMeasure:
             density=lambda r: hn_spectral_density(model, r),
             support=(0.0, math.inf),
             tail_exponent_high=model.alpha * model.gamma,
-            tail_exponent_low=model.alpha,
+            # with G_inf = 0 (b = 1) the density grows like r^(-alpha/2)
+            tail_exponent_low=-model.alpha / 2 if model.b == 1.0
+            else model.alpha,
             d_finite=model.b < 1.0,
             r_scale=1.0 / model.tau,
             label="havriliak-negami",
@@ -464,7 +467,8 @@ def spectral_measure(model) -> SpectralMeasure:
             density=lambda r: cd_spectral_density(model, r),
             support=(edge, math.inf),
             tail_exponent_high=model.gamma,
-            tail_exponent_low=None,
+            # at b = 1 the support reaches 0 with h ~ r^(-1/2)
+            tail_exponent_low=-0.5 if model.b == 1.0 else None,
             d_finite=model.b < 1.0,
             r_scale=1.0 / model.tau,
             sqrt_singular_left=True,

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._quad import integrate_measure
 from .measures import SpectralMeasure
@@ -43,8 +42,16 @@ __all__ = [
 _SIGN_TOL = 1e-12
 
 
+# Kramers-Kronig lattice: largest node step in ln(omega), reach of the
+# nodes beyond both frequencies in e-folds, and the smallest |ln(w/w0)|
+# (below 0.25 the node count is about 80/|ln(w/w0)|)
+_KK_STEP = 0.25
+_KK_REACH = 40.0
+_KK_MIN_GAP = 1e-3
+
+
 class PVConvergenceError(RuntimeError):
-    """Principal-value quadrature did not converge under excision halving."""
+    """The Kramers-Kronig principal-value sum is not finite."""
 
 
 @dataclass(frozen=True)
@@ -164,83 +171,44 @@ def cbf_check(f, hp_grid, axis_grid, name: str = "cbf") -> CheckReport:
     )
 
 
-def _pv_inner(dfun, omega, omega0, u_max, delta):
-    """vp int_0^umax [D(u) - D(w0)] / ((u - w0)(u - w)) du with symmetric
-    excision of half-width delta around both poles."""
-    d0 = dfun(omega0)
-
-    def g(u):
-        return (dfun(u) - d0) / ((u - omega0) * (u - omega))
-
-    lo, hi = sorted((omega0, omega))
-    total = 0.0
-    pieces = [(0.0, lo - delta), (lo + delta, hi - delta),
-              (hi + delta, 10.0 * hi)]
-    for a, b in pieces:
-        if b > a:
-            val, _ = quad(g, a, b, epsabs=0.0, epsrel=1e-9, limit=400,
-                          points=None, full_output=0)
-            total += val
-    # algebraic far tail in log space
-    def g_log(v):
-        u = math.exp(v)
-        return g(u) * u
-
-    val, _ = quad(g_log, math.log(10.0 * hi), math.log(u_max),
-                  epsabs=0.0, epsrel=1e-9, limit=400)
-    return total + val
-
-
-def kk_residual(model, omega: float, omega0: float, pv_grid=None,
-                delta_rel: float = 1e-4) -> float:
+def kk_residual(model, omega: float, omega0: float) -> float:
     """|LHS - RHS| of the once-subtracted Kramers-Kronig relation
 
         A(w) - A(w0) = -((w - w0)/pi) vp int [D(w') - D(w0)] /
                        ((w' - w0)(w' - w)) dw'
 
-    The negative half-line is folded onto (0, inf) using the oddness of D.
-    Principal values use symmetric excision with half-width halving as a
-    convergence check; the integral is truncated at 1e8 times the largest
-    pole with an algebraic-tail contribution below the check tolerance.
+    The negative half-line is folded onto (0, inf) using the oddness of D,
+    and the principal value is one trapezoid sum in s = ln w' whose step
+    divides |ln(w/w0)|, so both poles fall midway between nodes.  The D/w'
+    parts of the direct and folded terms cancel, so the summand decays
+    like w' at 0 and like 1/w' at infinity for every medium; nodes reach
+    40 e-folds beyond both frequencies.  The summand is analytic in the
+    strip |Im s| < pi/2 except for the simple pole at ln w, so the
+    midpoint sum is the principal value up to O(exp(-pi^2/step)) (the
+    trapezoid rule on a strip; Trefethen & Weideman, SIAM Rev. 56 (2014)).
+    A, D and D(w0) come from one vectorised evaluation of beta.
     """
-    if omega <= 0.0 or omega0 <= 0.0 or omega == omega0:
-        raise ValueError("omega and omega0 must be positive and distinct")
-
-    def att(w):
-        return float(np.real(dispersion_attenuation(model, -1j * w)))
-
-    def dis(w):
-        return float(-np.imag(dispersion_attenuation(model, -1j * w)))
-
-    lhs = att(omega) - att(omega0)
-
-    if pv_grid is not None:
-        u_max = float(np.max(pv_grid))
-        spacing = float(np.min(np.diff(np.sort(np.asarray(pv_grid)))))
-        delta = spacing / 2.0
-    else:
-        u_max = 1e8 * max(omega, omega0)
-        delta = delta_rel * min(omega, omega0, abs(omega - omega0))
-
-    d0 = dis(omega0)
-
-    def reflected(v):
-        u = math.exp(v)
-        return -(dis(u) + d0) / ((u + omega0) * (u + omega)) * u
-
-    refl, _ = quad(reflected, math.log(min(omega, omega0) * 1e-8),
-                   math.log(u_max), epsabs=0.0, epsrel=1e-9, limit=400)
-
-    inner = _pv_inner(dis, omega, omega0, u_max, delta)
-    inner_half = _pv_inner(dis, omega, omega0, u_max, delta / 2.0)
-    scale = abs(lhs) + abs(att(omega)) + 1e-300
-    if abs(inner - inner_half) * abs(omega - omega0) / math.pi > 2e-3 * scale:
-        raise PVConvergenceError(
-            f"symmetric excision not converged: delta sweep changes the "
-            f"integral by {abs(inner - inner_half):.3e}")
-
-    rhs = -(omega - omega0) / math.pi * (inner_half + refl)
-    return abs(lhs - rhs)
+    if not (0.0 < omega < math.inf and 0.0 < omega0 < math.inf):
+        raise ValueError("omega and omega0 must be positive and finite")
+    gap = abs(math.log(omega / omega0))
+    if not gap >= _KK_MIN_GAP:
+        raise ValueError(f"|ln(omega/omega0)| must be at least {_KK_MIN_GAP}")
+    step = gap / math.ceil(gap / _KK_STEP)
+    s_w = math.log(omega)
+    k_lo = math.floor((math.log(min(omega, omega0)) - _KK_REACH - s_w) / step)
+    k_hi = math.ceil((math.log(max(omega, omega0)) + _KK_REACH - s_w) / step)
+    u = np.exp(s_w + (np.arange(k_lo, k_hi) + 0.5) * step)
+    beta = dispersion_attenuation(
+        model, -1j * np.concatenate((u, (omega, omega0))))
+    att, dis = beta.real, -beta.imag
+    d, a_w, a_w0, d0 = dis[:-2], att[-2], att[-1], dis[-1]
+    terms = ((d - d0) / ((u - omega0) * (u - omega))
+             - (d + d0) / ((u + omega0) * (u + omega))) * u
+    rhs = -(omega - omega0) / math.pi * step * float(np.sum(terms))
+    res = abs(a_w - a_w0 - rhs)
+    if not math.isfinite(res):
+        raise PVConvergenceError("Kramers-Kronig lattice sum is not finite")
+    return res
 
 
 def bernstein_primitive_f(measure: SpectralMeasure, t: float) -> float:

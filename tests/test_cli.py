@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +16,15 @@ CC_ARGS = ["--model", "cole-cole", "--a", "1.5", "--alpha", "0.5",
            "--tau", "1e-13", "--cinf", "5000"]
 
 
+# the subprocesses import cmwave from this checkout's src/
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(Path(__file__).resolve().parents[1] / "src"),
+                  os.environ.get("PYTHONPATH"))))}
+
+
 def run_cli(args):
     return subprocess.run([sys.executable, "-m", "cmwave", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=SRC_ENV)
 
 
 def read_table(path):
@@ -211,6 +219,20 @@ def test_nonfinite_attenuation_exits_3(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model_args", [
+    ["--model", "cole-cole", "--a", "1.0001", "--alpha", "0.01"],
+    ["--model", "havriliak-negami", "--b", "0.5", "--alpha", "0.01",
+     "--gamma", "0.6"],
+    ["--model", "cole-davidson", "--b", "0.5", "--gamma", "0.01"],
+], ids=["cc-alpha-0.01", "hn-alpha-0.01", "cd-gamma-0.01"])
+def test_window_beyond_double_range_exits_3(model_args):
+    proc = run_cli(["curves", *model_args, "--tau", "1e-9", "--cinf", "3000",
+                    "--range", "1e-3:1e3", "--ppd", "1"])
+    assert proc.returncode == 3
+    assert "numerical failure" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_mittag_leffler_path_leaves_mpmath_unloaded():
     code = ("import sys, cmwave, cmwave.cli\n"
             "from cmwave.mittag_leffler import cole_cole_relaxation_modulus\n"
@@ -220,5 +242,5 @@ def test_mittag_leffler_path_leaves_mpmath_unloaded():
             "assert rc == 0, rc\n"
             "assert 'mpmath' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
+                          text=True, env=SRC_ENV)
     assert proc.returncode == 0, proc.stderr

@@ -162,3 +162,52 @@ def test_nonfinite_integral_raises():
     for fn in (attenuation, dispersion):
         with pytest.raises(QuadratureError):
             fn(sls, omega)
+
+
+# the three sweep corners whose log window would leave the doubles: the
+# tail exponent of the dispersion integrand sits 0.01 above 1
+EXPONENT_CORNERS = {
+    "cc-alpha-0.01": cw.ColeCole(a=1.0001, alpha=0.01, tau=1e-9, g_inf=1.0),
+    "hn-alpha-0.01": cw.HavriliakNegami(b=0.5, alpha=0.01, gamma=0.6,
+                                        tau=1e-9, g0=1.0),
+    "cd-gamma-0.01": cw.ColeDavidson(b=0.5, gamma=0.01, tau=1e-9, g0=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPONENT_CORNERS))
+def test_window_beyond_double_range_raises(name):
+    from cmwave._quad import QuadratureError
+
+    model = EXPONENT_CORNERS[name]
+    with pytest.raises(QuadratureError, match="double range"):
+        dispersion(cw.spectral_measure(model), 1.0 / model.tau)
+
+
+def test_d_constant_window_beyond_double_range_raises():
+    from cmwave._quad import QuadratureError
+
+    cc = cw.ColeCole(a=1.5, alpha=0.05, tau=1e-9, g_inf=1.0)
+    with pytest.raises(QuadratureError, match="double range"):
+        cw.measure_D_constant(cw.spectral_measure(cc))
+
+
+# b = 1: the relaxed modulus G_inf is zero and the density is singular at 0
+FLUID_EDGE = {
+    "hn-b-1": cw.HavriliakNegami(b=1.0, alpha=0.7, gamma=0.5, tau=TAU,
+                                 g0=5000.0 ** 2),
+    "cd-b-1-gamma-0.5": cw.ColeDavidson(b=1.0, gamma=0.5, tau=TAU,
+                                        g0=5000.0 ** 2),
+    "cd-b-1-gamma-0.2": cw.ColeDavidson(b=1.0, gamma=0.2, tau=TAU,
+                                        g0=5000.0 ** 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLUID_EDGE))
+def test_engine_matches_closed_form_beta_at_b_one(name):
+    model = FLUID_EDGE[name]
+    meas = cw.spectral_measure(model)
+    for w in (1e-3 / TAU, 1.0 / TAU, 1e3 / TAU):
+        a_kappa = float(attenuation_from_wavenumber(model, w))
+        d_kappa = float(dispersion_from_wavenumber(model, w))
+        assert attenuation(meas, w) == pytest.approx(a_kappa, rel=1e-9)
+        assert dispersion(meas, w) == pytest.approx(d_kappa, rel=1e-9)

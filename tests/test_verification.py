@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -20,7 +21,11 @@ from cmwave.verification import (
     positive_axis_grid,
     winding_number,
 )
-from cmwave.wavenumber import complex_modulus, wave_number
+from cmwave.wavenumber import (
+    attenuation_from_wavenumber,
+    complex_modulus,
+    wave_number,
+)
 
 
 def test_cm_check_passes_for_shipped_models(cc, sls, hn, cd):
@@ -94,6 +99,53 @@ def test_kk_residual_finite_band():
 def test_kk_requires_distinct_frequencies(cc):
     with pytest.raises(ValueError):
         kk_residual(cc, 1.0, 1.0)
+
+
+def test_kk_rejects_pairs_within_a_tenth_of_a_percent(cc):
+    with pytest.raises(ValueError):
+        kk_residual(cc, 1.0009 / cc.tau, 1.0 / cc.tau)
+
+
+TAU = 1e-13
+KK_PAIRS = [(0.01, 0.3), (0.1, 1.0), (1.0, 10.0), (0.03, 3.0), (0.3, 30.0)]
+KK_MODELS = {
+    "finite-band": cw.MeasureMedium(
+        cw.make_finiteband_measure(1e-5, 0.1 / TAU, 1.0 / TAU), c_inf=5000.0),
+    "power-law": cw.MeasureMedium(cw.make_powerlaw_measure(1e-9, 0.5),
+                                  c_inf=math.inf),
+    "cc-alpha-0.05": cw.ColeCole(a=1.5, alpha=0.05, tau=TAU,
+                                 g_inf=5000.0 ** 2 / 1.5),
+    "cd-gamma-0.05": cw.ColeDavidson(b=0.5, gamma=0.05, tau=TAU,
+                                     g0=5000.0 ** 2),
+}
+
+
+@pytest.mark.parametrize("model_name", ["cc", "sls", "hn", "cd",
+                                        *KK_MODELS])
+def test_kk_residual_at_roundoff(model_name, request):
+    # the midpoint lattice gives the principal value to roundoff, so the
+    # relation holds to far below the 1e-2 gate of `cmwave verify`
+    model = KK_MODELS.get(model_name) or request.getfixturevalue(model_name)
+    for f0, f in KK_PAIRS:
+        w0, w = f0 / TAU, f / TAU
+        a_ref = float(attenuation_from_wavenumber(model, w))
+        assert kk_residual(model, w, w0) <= 1e-10 * a_ref
+
+
+def test_kk_residual_flags_a_scaled_attenuation():
+    # 1 % more attenuation with the same dispersion violates the relation
+    band = KK_MODELS["finite-band"].measure
+
+    def beta_bad(p):
+        beta = np.asarray(band.beta_fn(p))
+        return 1.01 * beta.real + 1j * beta.imag
+
+    bad = cw.MeasureMedium(dataclasses.replace(band, beta_fn=beta_bad),
+                           c_inf=5000.0)
+    for f0, f in KK_PAIRS:
+        w0, w = f0 / TAU, f / TAU
+        a_ref = float(attenuation_from_wavenumber(bad, w))
+        assert kk_residual(bad, w, w0) >= 1e-3 * a_ref
 
 
 def test_bernstein_primitive_powerlaw():
@@ -187,9 +239,10 @@ def test_cc_relaxation_divided_difference_cm(cc):
         assert np.all((-1.0) ** order * d >= 0.0)
 
 
-def test_kk_residual_with_explicit_pv_grid(cc):
-    w0, w = 0.1 / cc.tau, 1.0 / cc.tau
-    grid = np.logspace(math.log10(w0) - 4, math.log10(w) + 6, 4001)
-    res = kk_residual(cc, w, w0, pv_grid=grid)
-    a_ref = attenuation(cw.spectral_measure(cc), w)
-    assert res <= 0.01 * a_ref
+def test_kk_residual_raises_on_a_nonfinite_sum():
+    band = KK_MODELS["finite-band"].measure
+    broken = cw.MeasureMedium(
+        dataclasses.replace(band, beta_fn=lambda p: np.full_like(p, np.nan)),
+        c_inf=5000.0)
+    with pytest.raises(PVConvergenceError):
+        kk_residual(broken, 1.0 / TAU, 0.1 / TAU)
