@@ -86,8 +86,39 @@ def _check_cut(p: np.ndarray) -> None:
         raise ValueError("p on the closed negative real axis (branch cut)")
 
 
+def _principal_power(z, e):
+    """z**e on the principal branch, as a new array.
+
+    Every power that a Green's synthesis bin or a dispersion frequency
+    p = -i omega takes lies in the open lower half-plane: (tau p)^alpha and
+    1 + (tau p)^alpha.  There the power is taken in polar form,
+    |z|^e e^(i e arg z), with real functions; on the negative imaginary
+    axis itself, z = -i y, that is y^e (-i)^e, one real power times one
+    scalar phase.  Any other z, the real axis of the fits in
+    :mod:`cmwave.greens` included, takes np.power.
+    """
+    z = np.asarray(z)
+    if not (np.iscomplexobj(z) and z.size and z.imag.max() < 0.0):
+        return np.power(z, e)
+    if not z.real.any():
+        mag = np.negative(z.imag)
+        mag **= e
+        return mag * (-1j) ** e
+    mag = np.abs(z)
+    mag **= e
+    angle = np.angle(z)
+    angle *= e
+    out = np.empty_like(z)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    out.real *= mag
+    out.imag *= mag
+    return out
+
+
 def _modulus_parts(model, p):
-    """(Q(p), G0 - Q(p)) of an analytic relaxation model.
+    """(Q(p), G0 - Q(p)) of an analytic relaxation model, for complex p of
+    one dimension or more, as new arrays.
 
     The deficit G0 - Q is formed in closed form from the same power
     (tau p)^alpha as Q itself, never by subtracting two moduli:
@@ -96,15 +127,23 @@ def _modulus_parts(model, p):
     """
     if isinstance(model, (ColeCole, StandardLinearSolid)):
         alpha = model.alpha if isinstance(model, ColeCole) else 1.0
-        xa = np.power(model.tau * p, alpha)
-        denom = 1.0 + xa
-        return (model.g_inf * (1.0 + model.a * xa) / denom,
-                model.g_inf * (model.a - 1.0) / denom)
+        xa = _principal_power(model.tau * p, alpha)
+        q = model.a * xa
+        q += 1.0
+        q *= model.g_inf
+        xa += 1.0
+        q /= xa
+        return q, np.divide(model.g_inf * (model.a - 1.0), xa, out=xa)
     if isinstance(model, (HavriliakNegami, ColeDavidson)):
         alpha = model.alpha if isinstance(model, HavriliakNegami) else 1.0
-        relaxed = np.power(1.0 + np.power(model.tau * p, alpha), -model.gamma)
-        return (model.g0 * (1.0 - model.b * relaxed),
-                model.g0 * model.b * relaxed)
+        xa = _principal_power(model.tau * p, alpha)
+        xa += 1.0
+        relaxed = _principal_power(xa, -model.gamma)
+        q = np.multiply(relaxed, model.b, out=xa)
+        np.subtract(1.0, q, out=q)
+        q *= model.g0
+        relaxed *= model.g0 * model.b
+        return q, relaxed
     raise TypeError(f"no complex modulus for {type(model).__name__}")
 
 
@@ -115,7 +154,7 @@ def complex_modulus(model, p):
     if isinstance(model, MeasureMedium):
         q = model.rho * (p / np.asarray(wave_number(model, p))) ** 2
     else:
-        q = _modulus_parts(model, p)[0]
+        q = _modulus_parts(model, np.atleast_1d(p))[0].reshape(p.shape)
     return q if q.shape else complex(q)
 
 
@@ -132,10 +171,17 @@ def dispersion_attenuation(model, p):
     if isinstance(model, MeasureMedium):
         beta = np.asarray(model.measure.beta_fn(p), dtype=complex)
     else:
-        q, deficit = _modulus_parts(model, p)
-        root_q, root_g0 = np.sqrt(q), math.sqrt(model.g0)
-        beta = p * math.sqrt(model.rho) * deficit \
-            / (root_q * root_g0 * (root_g0 + root_q))
+        # the expression above, in place and in its order of operations:
+        # the real-axis fits of greens amplify the last bit of beta
+        flat = np.atleast_1d(p)
+        q, beta = _modulus_parts(model, flat)
+        root_q = np.sqrt(q, out=q)
+        root_g0 = math.sqrt(model.g0)
+        den = root_g0 + root_q
+        den *= np.multiply(root_q, root_g0, out=root_q)
+        beta *= np.multiply(flat, math.sqrt(model.rho), out=q)
+        beta /= den
+        beta = beta.reshape(p.shape)
     return beta if beta.shape else complex(beta)
 
 

@@ -227,3 +227,107 @@ def test_cd_gamma_one_keeps_the_front_jump():
     w_cd = green1d(cd, x=x, n_samples=4096, T=4 * x / C_INF)
     assert causality_metric(w_cd) <= 2.0 * causality_metric(w_sls)
     assert causality_metric(w_cd) <= 1e-6
+
+
+def _parent_beta(model, p):
+    # the complex-arithmetic closed form: np.power on every bin
+    if isinstance(model, cw.ColeCole):
+        xa = (model.tau * p) ** model.alpha
+        q = model.g_inf * (1.0 + model.a * xa) / (1.0 + xa)
+        deficit = model.g_inf * (model.a - 1.0) / (1.0 + xa)
+    else:
+        relaxed = (1.0 + (model.tau * p) ** model.alpha) ** -model.gamma
+        q = model.g0 * (1.0 - model.b * relaxed)
+        deficit = model.g0 * model.b * relaxed
+    root_q, root_g0 = np.sqrt(q), math.sqrt(model.g0)
+    return p * math.sqrt(model.rho) * deficit \
+        / (root_q * root_g0 * (root_g0 + root_q))
+
+
+def _peel_reference(name, args, p):
+    if name == "_step_peel":
+        v, = args
+        return v / p
+    if name == "_exp_peel":
+        c, theta = args
+        return c / (p + 1.0 / theta)
+    if name == "_kink_peel":
+        j1, la, lb = args
+        return j1 / ((p + la) * (p + lb))
+    terms, thetas, weights = args
+    poles = sum(a_i / (1.0 + th_i * p) for a_i, th_i in zip(weights, thetas))
+    return sum(c * p ** (e - 1.0) * poles for e, c in terms)
+
+
+@pytest.mark.parametrize("family", ["cc", "hn"])
+@pytest.mark.parametrize("synth", [green1d, green3d])
+def test_bins_match_the_complex_arithmetic_spectrum(monkeypatch, family,
+                                                    synth):
+    # every peel the synthesis builds, and its spectrum, on the bins
+    # p = -i omega, against the plain complex expressions; Cole-Cole with
+    # 2 alpha < 0.95 carries two fractional terms
+    import cmwave.greens as greens
+
+    x = 1e-3
+    tau = x / 44800.0
+    model = cw.ColeCole(a=1.5, alpha=0.4, tau=tau, g_inf=G_INF, rho=RHO) \
+        if family == "cc" else \
+        cw.HavriliakNegami(b=0.5, alpha=1 / 1.3, gamma=0.65, tau=tau,
+                           g0=RHO * C_INF ** 2, rho=RHO)
+    built = []
+    for name in ("_step_peel", "_exp_peel", "_kink_peel", "_frac_peel"):
+        def record(*args, _name=name, _make=getattr(greens, name)):
+            peel = _make(*args)
+            built.append((_name, args, peel))
+            return peel
+        monkeypatch.setattr(greens, name, record)
+    T = 4 * x / model.c_inf
+    synth(model, x=x, n_samples=4096, T=T)
+    dim = 1 if synth is green1d else 3
+    expect = {"_exp_peel", "_kink_peel"} if dim == 3 else \
+        {"_step_peel", "_exp_peel", "_kink_peel", "_frac_peel"}
+    assert {name for name, _, _ in built} == expect
+    if dim == 1:
+        terms = next(args for name, args, _ in built
+                     if name == "_frac_peel")[0]
+        assert len(terms) == (2 if family == "cc" else 1)
+
+    p = -1j * greens._bins(4096, T, 256)[1]
+    for name, args, peel in built:
+        out = np.zeros_like(p)
+        peel.subtract(out, p)
+        ref = _peel_reference(name, args, p)
+        assert np.all(np.abs(out + ref) <= 1e-13 * np.abs(ref)), name
+
+    beta = _parent_beta(model, p)
+    lam = 1.0 / model.c_inf + beta / p
+    ref = 0.5 * lam * np.exp(-x * beta) / p if dim == 1 else \
+        lam * np.exp(-x * beta) * lam / (4.0 * math.pi * x)
+    got = greens._spectrum(model, x, dim, p)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_waveform_diagnostics():
+    x = 1e-3
+    cc = cc_resolvable(x)
+    w = green1d(cc, x=x, n_samples=4096, T=4 * x / cc.c_inf)
+    d = w.diagnostics
+    assert d["pad_factor"] == 256
+    assert d["bins"] == 4096 * 256 // 2
+    assert d["alias_limit"] == 1e-4
+    assert 0.0 < d["alias_ratio"] < d["alias_limit"]
+
+    w3 = green3d(cc, x=x, n_samples=4096, T=4 * x / cc.c_inf,
+                 pad_factor=1024)
+    assert w3.diagnostics["pad_factor"] == 1024
+    assert w3.diagnostics["bins"] == 4096 * 1024 // 2
+
+    fluid = MeasureMedium(cw.make_powerlaw_measure(0.0065, 0.75),
+                          c_inf=math.inf)
+    wf = green1d(fluid, x=1.0, n_samples=4096, T=1.0)
+    assert wf.diagnostics == {"pad_factor": 32, "bins": 4096 * 32 // 2}
+
+    # a waveform built by hand carries an empty record
+    assert Waveform(time_grid=w.time_grid, samples=w.samples, x=x,
+                    wavefront_time=w.wavefront_time,
+                    dc_step_amplitude=0.0).diagnostics == {}

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -104,11 +105,14 @@ def test_jump_oracle_eps_validation(cc):
         branch_cut_density(cc, -1.0)
 
 
-def test_conjugate_symmetry(cc, hn):
+def test_conjugate_symmetry(cc, sls, hn, cd):
+    # random points and the negative imaginary axis, whose powers take
+    # their own path (conj: +i omega takes np.power)
     rng = np.random.default_rng(3)
     p = 10.0 ** rng.uniform(-4, 4, 200) / 1e-13 \
         * np.exp(1j * rng.uniform(-0.95, 0.95, 200) * math.pi)
-    for model in (cc, hn):
+    p = np.concatenate((p, -1j * np.logspace(-6, 6, 49) / 1e-13))
+    for model in (cc, sls, hn, cd):
         k1 = np.asarray(wave_number(model, p))
         k2 = np.asarray(wave_number(model, np.conj(p)))
         assert np.allclose(k2, np.conj(k1), rtol=1e-14, atol=0.0)
@@ -169,3 +173,67 @@ def test_beta_at_infinity_closed_form():
     for model in (cw.ColeDavidson(b=0.5, gamma=0.9, tau=0.1, g0=0.2),
                   cw.ColeCole(a=2.0, alpha=0.9, tau=0.1, g_inf=0.1)):
         assert beta_at_infinity(model) == math.inf
+
+
+def _g0_exact(model):
+    if isinstance(model, (cw.ColeCole, cw.StandardLinearSolid)):
+        return mpmath.mpf(model.a) * mpmath.mpf(model.g_inf)
+    return mpmath.mpf(model.g0)
+
+
+def _beta_reference(model, omega):
+    """beta(-i omega) to 50 digits: p sqrt(rho) (1/sqrt(Q) - 1/sqrt(G0))
+    from the family's Q(p), with G0 = Q(inf) in exact arithmetic."""
+    with mpmath.workdps(50):
+        p = mpmath.mpc(0.0, -omega)
+        if isinstance(model, (cw.ColeCole, cw.StandardLinearSolid)):
+            alpha = model.alpha if isinstance(model, cw.ColeCole) else 1
+            x = (mpmath.mpf(model.tau) * p) ** mpmath.mpf(alpha)
+            q = mpmath.mpf(model.g_inf) * (1 + mpmath.mpf(model.a) * x) \
+                / (1 + x)
+        else:
+            alpha = model.alpha if isinstance(model, cw.HavriliakNegami) \
+                else 1
+            x = (mpmath.mpf(model.tau) * p) ** mpmath.mpf(alpha)
+            q = mpmath.mpf(model.g0) * (
+                1 - mpmath.mpf(model.b) * (1 + x) ** -mpmath.mpf(model.gamma))
+        beta = p * mpmath.sqrt(mpmath.mpf(model.rho)) \
+            * (1 / mpmath.sqrt(q) - 1 / mpmath.sqrt(_g0_exact(model)))
+        return complex(beta)
+
+
+_G0 = 5000.0 ** 2
+
+
+@pytest.mark.parametrize("model", [
+    cw.StandardLinearSolid(a=1.5, tau=1e-13, g_inf=_G0 / 1.5),
+    cw.StandardLinearSolid(a=1e4, tau=1e-13, g_inf=_G0 / 1e4),
+    cw.ColeCole(a=1.5, alpha=0.05, tau=1e-13, g_inf=_G0 / 1.5),
+    cw.ColeCole(a=1.5, alpha=0.5, tau=1e-13, g_inf=_G0 / 1.5),
+    cw.ColeCole(a=1.5, alpha=0.95, tau=1e-13, g_inf=_G0 / 1.5),
+    cw.HavriliakNegami(b=0.5, alpha=0.05, gamma=0.65, tau=1e-13, g0=_G0),
+    cw.HavriliakNegami(b=0.5, alpha=1 / 1.3, gamma=0.65, tau=1e-13, g0=_G0),
+    cw.HavriliakNegami(b=0.5, alpha=0.95, gamma=0.65, tau=1e-13, g0=_G0),
+    cw.ColeDavidson(b=0.5, gamma=0.05, tau=1e-13, g0=_G0),
+    cw.ColeDavidson(b=0.5, gamma=0.5, tau=1e-13, g0=_G0),
+    cw.ColeDavidson(b=0.5, gamma=1.0, tau=1e-13, g0=_G0),
+], ids=["sls-a1.5", "sls-a1e4", "cc-alpha0.05", "cc-alpha0.5",
+        "cc-alpha0.95", "hn-alpha0.05", "hn-alpha1/1.3", "hn-alpha0.95",
+        "cd-gamma0.05", "cd-gamma0.5", "cd-gamma1"])
+def test_beta_on_the_axis_matches_a_50_digit_reference(model):
+    omega = np.logspace(-6, 6, 49) / model.tau
+    beta = np.asarray(dispersion_attenuation(model, -1j * omega))
+    ref = np.array([_beta_reference(model, w) for w in omega])
+    assert np.all(np.abs(beta - ref) <= 2e-15 * np.abs(ref))
+
+
+def test_hn_b_one_beta_on_the_axis():
+    # with b = 1, Q = G0 (1 - (1 + x)^-gamma) cancels like 1/|x| at low
+    # frequency: 1.3e-12 at tau omega = 1e-6 (x = 6e-5), roundoff above
+    hn = cw.HavriliakNegami(b=1.0, alpha=0.7, gamma=0.5, tau=1e-13, g0=_G0)
+    omega = np.logspace(-6, 6, 49) / hn.tau
+    beta = np.asarray(dispersion_attenuation(hn, -1j * omega))
+    ref = np.array([_beta_reference(hn, w) for w in omega])
+    err = np.abs(beta - ref) / np.abs(ref)
+    assert np.all(err <= 5e-12)
+    assert np.all(err[omega * hn.tau >= 1.0] <= 2e-15)
