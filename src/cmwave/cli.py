@@ -23,7 +23,9 @@ import numpy as np
 
 from . import measures
 from ._quad import QuadratureError
-from .dispersion import attenuation, dispersion
+# attenuation and dispersion are unused here but stay importable from
+# cmwave.cli: the benchmark's tracer wraps them under these names
+from .dispersion import attenuation, curve, dispersion  # noqa: F401
 from .greens import SpectralDecayError, causality_metric, green1d, green3d
 from .mittag_leffler import MLToleranceError
 from .verification import (
@@ -134,21 +136,9 @@ def _write_table(args, header, rows):
 
 
 def cmd_curves(args) -> int:
-    model = _build_model(args)
-    grid = _omega_grid(args)
-    meas = (model.measure if isinstance(model, MeasureMedium)
-            else measures.spectral_measure(model))
-    c_inf = model.c_inf
-
-    rows = []
-    for w in grid:
-        a = attenuation(meas, w)
-        d = dispersion(meas, w)
-        if math.isfinite(c_inf):
-            c = 1.0 / (1.0 / c_inf + d / w)
-        else:
-            c = w / d if d > 0.0 else math.inf
-        rows.append((w / _OMEGA_UNIT, a, d, c))
+    table = curve(_build_model(args), _omega_grid(args))
+    rows = zip(table.omega / _OMEGA_UNIT, table.attenuation,
+               table.dispersion, table.phase_speed)
     _write_table(args, ["omega_MHz", "attenuation_per_m", "dispersion_per_m",
                         "phase_speed_m_per_s"], rows)
     return 0

@@ -79,6 +79,10 @@ class SpectralMeasure:
         (inverse-square-root for the Standard Linear Solid, a fractional
         power for Cole-Davidson); quadrature then opens that edge with the
         substitution ``r = r_lo + s**2``.
+    breaks:
+        interior rates where the density is not analytic (the branch point
+        of Cole-Davidson at 1/tau); grid quadrature splits the support
+        there.
     beta_fn:
         optional closed form for the dispersion-attenuation function
         ``beta(p) = p * int h(r)/(p+r) dr`` on the cut plane.
@@ -91,6 +95,7 @@ class SpectralMeasure:
     d_finite: bool
     r_scale: float
     sqrt_singular_left: bool = False
+    breaks: tuple[float, ...] = ()
     beta_fn: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = "measure"
 
@@ -472,6 +477,7 @@ def spectral_measure(model) -> SpectralMeasure:
             d_finite=model.b < 1.0,
             r_scale=1.0 / model.tau,
             sqrt_singular_left=True,
+            breaks=(1.0 / model.tau,),
             label="cole-davidson",
         )
     if isinstance(model, (PowerLawMeasure, FiniteBand)):
@@ -521,8 +527,16 @@ def make_finiteband_measure(height: float, r_lo: float, r_hi: float) -> Spectral
         return val if val.shape else float(val)
 
     def beta_fn(p):
+        # log((p + r_hi)/(p + r_lo)) = log(1 + z): the difference of the two
+        # logs cancels when |p| >> r_hi, log1p of |1 + z|^2 - 1 does not
         p = np.asarray(p, dtype=complex)
-        return height * p * (np.log(p + r_hi) - np.log(p + r_lo))
+        z = (r_hi - r_lo) / (p + r_lo)
+        near = np.abs(z) < 1.0
+        zn = np.where(near, z, 0.0)
+        log_mod = np.where(
+            near, 0.5 * np.log1p(2.0 * zn.real + zn.real ** 2 + zn.imag ** 2),
+            np.log(np.abs(1.0 + z)))
+        return height * p * (log_mod + 1j * np.arctan2(z.imag, 1.0 + z.real))
 
     return SpectralMeasure(
         density=h,

@@ -9,8 +9,9 @@ import pytest
 
 import cmwave.cli
 from cmwave.cli import main
+from cmwave.measures import StandardLinearSolid
 from cmwave.verification import PVConvergenceError
-from cmwave.wavenumber import JumpExtrapolationError
+from cmwave.wavenumber import JumpExtrapolationError, dispersion_attenuation
 
 CC_ARGS = ["--model", "cole-cole", "--a", "1.5", "--alpha", "0.5",
            "--tau", "1e-13", "--cinf", "5000"]
@@ -210,13 +211,23 @@ def test_numerical_errors_exit_3(exc, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_nonfinite_attenuation_exits_3(capsys):
-    lo = 1.0001 / (1.5e-13 * 1e6)   # 1e-4 above the SLS support edge, MHz
+def test_curves_above_the_sls_support_edge_match_closed_form(tmp_path):
+    # 1e-4 above the SLS support edge 1/(a tau), where the density has its
+    # inverse-square-root singularity; the grid engine never samples the
+    # edge itself
+    out = tmp_path / "edge.csv"
+    lo = 1.0001 / (1.5e-13 * 1e6)   # MHz
     rc = main(["curves", "--model", "sls", "--a", "1.5", "--tau", "1e-13",
                "--cinf", "5000", "--range", f"{lo!r}:{lo * 10.0!r}",
-               "--ppd", "4"])
-    assert rc == 3
-    assert "numerical failure" in capsys.readouterr().err
+               "--ppd", "4", "-o", str(out)])
+    assert rc == 0
+    _, rows = read_table(out)
+    assert rows.shape == (5, 4)
+    sls = StandardLinearSolid(a=1.5, tau=1e-13,
+                              g_inf=(5000.0 / np.sqrt(1.5)) ** 2)
+    beta = dispersion_attenuation(sls, -1j * rows[:, 0] * 1e6)
+    np.testing.assert_allclose(rows[:, 1], beta.real, rtol=1e-8, atol=0.0)
+    np.testing.assert_allclose(rows[:, 2], -beta.imag, rtol=1e-8, atol=0.0)
 
 
 @pytest.mark.parametrize("model_args", [

@@ -52,6 +52,10 @@ def test_cc_dispersion_over_omega_tends_to_D(cc):
 def test_phase_speed_elastic_limit():
     medium = MeasureMedium(cw.zero_measure(), c_inf=5000.0)
     assert phase_speed(medium, 1.0) == pytest.approx(5000.0, rel=1e-14)
+    c = curve(medium, np.array([1.0, 10.0]))
+    assert np.all(c.attenuation == 0.0) and np.all(c.dispersion == 0.0)
+    assert np.all(c.phase_speed == 5000.0)
+    assert c.diagnostics["nodes"] == 0
 
 
 def test_phase_speed_limits(cc):
@@ -181,6 +185,8 @@ def test_window_beyond_double_range_raises(name):
     model = EXPONENT_CORNERS[name]
     with pytest.raises(QuadratureError, match="double range"):
         dispersion(cw.spectral_measure(model), 1.0 / model.tau)
+    with pytest.raises(QuadratureError, match="double range"):
+        curve(model, np.logspace(-3, 3, 7) / model.tau)
 
 
 def test_d_constant_window_beyond_double_range_raises():
@@ -211,3 +217,96 @@ def test_engine_matches_closed_form_beta_at_b_one(name):
         d_kappa = float(dispersion_from_wavenumber(model, w))
         assert attenuation(meas, w) == pytest.approx(a_kappa, rel=1e-9)
         assert dispersion(meas, w) == pytest.approx(d_kappa, rel=1e-9)
+
+
+# -- the grid engine behind curve() -------------------------------------------
+
+def _solid(cls, a, **kw):
+    return cls(a=a, tau=TAU, g_inf=(5000.0 / math.sqrt(a)) ** 2, **kw)
+
+
+# the corners of each family's domain that stress the engine's maps: slow
+# algebraic tails (CC alpha 0.1, HN and CD at b = 1), a sharp peak (CC
+# alpha 0.95), narrow and wide SLS supports, and CD with gamma = 1, whose
+# upper branch-cut segment vanishes
+GRID_CORNERS = {
+    "cc-alpha-0.1": _solid(cw.ColeCole, 1.5, alpha=0.1),
+    "cc-alpha-0.95": _solid(cw.ColeCole, 1.5, alpha=0.95),
+    "sls-a-1.1": _solid(cw.StandardLinearSolid, 1.1),
+    "sls-a-1e4": _solid(cw.StandardLinearSolid, 1e4),
+    "hn-b-1": FLUID_EDGE["hn-b-1"],
+    "cd-b-1": FLUID_EDGE["cd-b-1-gamma-0.5"],
+    "cd-gamma-1": cw.ColeDavidson(b=0.5, gamma=1.0, tau=TAU,
+                                  g0=5000.0 ** 2),
+}
+
+
+def _assert_matches_beta(c, beta):
+    np.testing.assert_allclose(c.attenuation, beta.real, rtol=1e-8, atol=0.0)
+    np.testing.assert_allclose(c.dispersion, -beta.imag, rtol=1e-8,
+                               atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["cc", "sls", "hn", "cd",
+                                  *sorted(GRID_CORNERS)])
+def test_thousand_point_curve_matches_closed_form_beta(name, request):
+    # twelve decades in sixteen frequency blocks: the node x frequency
+    # temporaries are formed block by block
+    model = (GRID_CORNERS[name] if name in GRID_CORNERS
+             else request.getfixturevalue(name))
+    grid = np.logspace(-6, 6, 1000) / TAU
+    c = curve(model, grid)
+    _assert_matches_beta(c, cw.dispersion_attenuation(model, -1j * grid))
+    assert c.diagnostics["nodes"] > 0
+    assert c.diagnostics["rel_error"] <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["finite-band", "finite-band-from-0",
+                                  "power-law"])
+def test_curve_of_a_bare_measure_matches_its_closed_form(name):
+    meas = {"finite-band": cw.make_finiteband_measure(1.0, 1.0, 2.0),
+            "finite-band-from-0": cw.make_finiteband_measure(1.0, 0.0, 2.0),
+            "power-law": cw.make_powerlaw_measure(1.0, 0.5)}[name]
+    grid = np.logspace(-6, 6, 97)
+    c = curve(meas, grid)
+    _assert_matches_beta(c, meas.beta_fn(-1j * grid))
+    np.testing.assert_allclose(c.phase_speed, grid / c.dispersion,
+                               rtol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["cc", "sls", "hn", "cd"])
+def test_curve_matches_the_scalar_route(name, request):
+    # the two quadrature routes check each other: one node set for the
+    # grid against adaptive quadrature point by point
+    model = request.getfixturevalue(name)
+    meas = cw.spectral_measure(model)
+    grid = np.logspace(-3, 3, 13) / TAU
+    c = curve(model, grid)
+    np.testing.assert_allclose(
+        c.attenuation, [attenuation(meas, w) for w in grid], rtol=1e-8)
+    np.testing.assert_allclose(
+        c.dispersion, [dispersion(meas, w) for w in grid], rtol=1e-8)
+
+
+def _measure_with(density):
+    return cw.SpectralMeasure(density=density, support=(0.0, math.inf),
+                              tail_exponent_high=0.5, tail_exponent_low=0.0,
+                              d_finite=False, r_scale=1.0)
+
+
+def test_curve_raises_on_a_density_it_cannot_resolve():
+    # a jump the measure does not declare as a break: the trapezoid rule
+    # converges only like its step, so the node budget runs out
+    from cmwave._quad import QuadratureError
+
+    meas = _measure_with(lambda r: np.where(r < 1.0, 1.0, 2.0) / (1.0 + r))
+    with pytest.raises(QuadratureError, match="did not converge"):
+        curve(meas, np.array([0.5, 2.0]))
+
+
+def test_curve_raises_on_a_non_finite_density():
+    from cmwave._quad import QuadratureError
+
+    meas = _measure_with(lambda r: np.where(r < 1.0, np.nan, 1.0 / r))
+    with pytest.raises(QuadratureError, match="non-finite"):
+        curve(meas, np.array([0.5, 2.0]))

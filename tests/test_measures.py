@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -176,3 +177,30 @@ def test_jump_oracle_agreement_sampled(cc, hn):
         h = dens(model, r)
         o = branch_cut_density(model, r)
         assert np.all(np.abs(h - o) <= 1e-6 * np.abs(o))
+
+
+def _finite_band_beta_reference(height, r_lo, r_hi, p):
+    with mpmath.workdps(40):
+        pm = mpmath.mpc(p)
+        return complex(height * pm * (mpmath.log(pm + r_hi)
+                                      - mpmath.log(pm + r_lo)))
+
+
+@pytest.mark.parametrize("band", [(1.0, 1.0, 2.0), (0.5, 0.0, 2.0),
+                                  (2.0, 1e3, 1e3 + 1e-3)])
+def test_finite_band_beta_well_conditioned(band):
+    # far above the band the difference of the two logs cancels; on the
+    # band [1, 2] it cost 5e-4 relative in -Im beta at omega = 1e6
+    height, r_lo, r_hi = band
+    beta_fn = cw.make_finiteband_measure(*band).beta_fn
+    omega = np.logspace(-4, 12, 33)
+    # A and D on the imaginary axis, each to a few ulps
+    for p, b in zip(-1j * omega, beta_fn(-1j * omega)):
+        ref = _finite_band_beta_reference(height, r_lo, r_hi, p)
+        assert abs(b.real - ref.real) <= 5e-16 * abs(ref.real)
+        assert abs(b.imag - ref.imag) <= 5e-16 * abs(ref.imag)
+    # elsewhere on the cut plane, to a few ulps of |beta|
+    points = np.concatenate([omega * np.exp(0.75j * math.pi), omega + 0j])
+    for p, b in zip(points, beta_fn(points)):
+        ref = _finite_band_beta_reference(height, r_lo, r_hi, p)
+        assert abs(b - ref) <= 1e-15 * abs(ref)
