@@ -41,11 +41,6 @@ __all__ = [
     "zero_measure",
 ]
 
-# Radicands of the closed-form densities are provably >= 0; anything below
-# this (relative) threshold is treated as an internal inconsistency rather
-# than roundoff.
-_RADICAND_GUARD = 1e-12
-
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
@@ -295,25 +290,26 @@ def cc_spectral_density(model: ColeCole, r):
     Evaluated from the branch-cut limit of the wave-number function.  With
     x = tau*r and auxiliary quantities
 
-        J1 = -(a - 1) sin(pi alpha) x^alpha
+        J1 = (a - 1) sin(pi alpha) x^alpha
         R1 = 1 + a x^(2 alpha) + (a + 1) cos(pi alpha) x^alpha
         Z  = sqrt(1 + a^2 x^(2 alpha) + 2 a cos(pi alpha) x^alpha)
 
-    the density is  sqrt(hypot(R1, J1) - R1) / (pi c0 sqrt(2) Z).  The
-    radicand is computed as J1^2/(hypot + R1) where R1 > 0, which avoids the
-    cancellation of the direct form for small and large r.
+    the density is  sqrt(hypot(R1, J1) - R1) / (pi c0 sqrt(2) Z).  The root
+    is computed as J1/sqrt(hypot + R1) where R1 > 0, which avoids the
+    cancellation of the direct form for small and large r, and the square
+    of J1 that underflows for tau r below about 1e-230.
     """
     r = np.asarray(r, dtype=float)
     x = model.tau * r
     xa = np.power(x, model.alpha, where=x > 0, out=np.zeros_like(x))
     a = model.a
     ca, sa = math.cos(math.pi * model.alpha), math.sin(math.pi * model.alpha)
-    j1 = -(a - 1.0) * sa * xa
+    j1 = (a - 1.0) * sa * xa
     r1 = 1.0 + a * xa * xa + (a + 1.0) * ca * xa
     z = np.sqrt(1.0 + (a * xa) ** 2 + 2.0 * a * ca * xa)
     hyp = np.hypot(r1, j1)
-    radicand = np.where(r1 > 0.0, j1 * j1 / (hyp + r1), hyp - r1)
-    h = np.sqrt(radicand) / (math.pi * model.c0 * math.sqrt(2.0) * z)
+    root = np.where(r1 > 0.0, j1 / np.sqrt(hyp + r1), np.sqrt(hyp - r1))
+    h = root / (math.pi * model.c0 * math.sqrt(2.0) * z)
     return h if h.shape else float(h)
 
 
@@ -333,33 +329,30 @@ def sls_spectral_density(model: StandardLinearSolid, r):
     return 0.0
 
 
-def _hn_parts(model: HavriliakNegami, x: np.ndarray):
-    """Return (Re Z, Im Z, |Z|) of Z = 1 - b/(1 + x^alpha e^{i pi alpha})^gamma."""
-    alpha, gamma, b = model.alpha, model.gamma, model.b
-    xa = np.power(x, alpha, where=x > 0, out=np.zeros_like(x))
-    ca, sa = math.cos(math.pi * alpha), math.sin(math.pi * alpha)
-    # modulus^2 and continuous argument of 1 + x^alpha e^{i pi alpha}
-    m2 = 1.0 + 2.0 * xa * ca + xa * xa
-    f = np.arctan2(xa * sa, 1.0 + xa * ca)
-    g = np.power(m2, 0.5 * gamma)
-    re_z = 1.0 - b * np.cos(gamma * f) / g
-    im_z = b * np.sin(gamma * f) / g
-    k = np.hypot(re_z, im_z)
-    return re_z, im_z, k
-
-
 def hn_spectral_density(model: HavriliakNegami, r):
     """Spectral density of the Havriliak-Negami model.
 
-    h = sqrt(k - Re Z) / (pi sqrt(2) c_inf k) with k = |Z|; the radicand is
-    evaluated as (Im Z)^2/(k + Re Z), exact and cancellation-free.
+    With Z = 1 - b/(1 + x^alpha e^{i pi alpha})^gamma, x = tau r and k = |Z|,
+    h = sqrt(k - Re Z) / (pi sqrt(2) c_inf k); the root is evaluated as
+    |Im Z|/sqrt(k + Re Z), exact and cancellation-free, and without the
+    square of Im Z that underflows for small b.
     """
-    r = np.asarray(r, dtype=float)
-    x = model.tau * r
-    re_z, im_z, k = _hn_parts(model, x)
-    radicand = im_z * im_z / (k + re_z)
-    _check_radicand(radicand, k)
-    h = np.sqrt(radicand) / (math.pi * math.sqrt(2.0) * model.c_inf * k)
+    alpha, gamma, b = model.alpha, model.gamma, model.b
+    x = model.tau * np.asarray(r, dtype=float)
+    xa = np.power(x, alpha, where=x > 0, out=np.zeros_like(x))
+    ca, sa = math.cos(math.pi * alpha), math.sin(math.pi * alpha)
+    # log of g = |1 + x^alpha e^{i pi alpha}|^gamma, and gamma times the
+    # continuous argument of 1 + x^alpha e^{i pi alpha}
+    log_g = 0.5 * gamma * np.log1p(xa * (2.0 * ca + xa))
+    gf = gamma * np.arctan2(xa * sa, 1.0 + xa * ca)
+    g = np.exp(log_g)
+    # Re Z = (1 - b) + b (1 - cos(gamma f)/g), which does not cancel as
+    # x -> 0 when b is near 1
+    re_z = (1.0 - b) - b * (np.expm1(-log_g) - 2.0 * np.sin(0.5 * gf) ** 2 / g)
+    im_z = b * np.sin(gf) / g
+    k = np.hypot(re_z, im_z)
+    h = np.abs(im_z) / np.sqrt(k + re_z) \
+        / (math.pi * math.sqrt(2.0) * model.c_inf * k)
     return h if h.shape else float(h)
 
 
@@ -386,45 +379,27 @@ def cd_spectral_density(model: ColeDavidson, r):
     """
     r = np.asarray(r, dtype=float)
     x = model.tau * r
-    h = np.zeros_like(x)
     b, gamma = model.b, model.gamma
     pref = 1.0 / (math.pi * model.c_inf)
 
     upper = x > 1.0
     u = np.power(x - 1.0, -gamma, where=upper, out=np.zeros_like(x))
-    cg, sg = math.cos(math.pi * gamma), math.sin(math.pi * gamma)
+    # sin(pi) rounds to 1.2e-16: at gamma = 1 the upper piece is exactly 0
+    cg, sg = math.cos(math.pi * gamma), math.sin(math.pi * gamma) * (gamma < 1)
     re_z = 1.0 - b * cg * u
     im_z = b * sg * u
     k1 = np.hypot(re_z, im_z)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        radicand = im_z * im_z / (k1 + re_z)
-        val_up = pref * np.sqrt(radicand / 2.0) / k1
 
     x_edge = 1.0 - b ** (1.0 / gamma)
     lower = (x > x_edge) & (x < 1.0)
     # b (1 - x)^-gamma - 1 without cancellation as x -> 0 when b = 1
     excess = np.expm1(math.log(b) - gamma * np.log1p(-np.where(lower, x, 0.0)))
     with np.errstate(invalid="ignore", divide="ignore"):
+        val_up = pref * im_z / np.sqrt(2.0 * (k1 + re_z)) / k1
         val_lo = pref / np.sqrt(excess)
-
-    if h.shape:
-        h[upper] = val_up[upper]
-        h[lower] = val_lo[lower]
-        return h
-    if upper:
-        return float(val_up)
-    if lower:
-        return float(val_lo)
-    return 0.0
-
-
-def _check_radicand(radicand: np.ndarray, scale: np.ndarray) -> None:
-    bad = np.min(radicand / np.maximum(scale * scale, 1e-300))
-    if bad < -_RADICAND_GUARD:
-        raise FloatingPointError(
-            f"density radicand negative beyond roundoff guard: {bad:.3e}"
-        )
-    np.clip(radicand, 0.0, None, out=np.atleast_1d(radicand))
+    # val_up is exactly 0 wherever tau r <= 1 (u = 0 there)
+    h = np.where(lower, val_lo, val_up)
+    return h if h.shape else float(h)
 
 
 # ---------------------------------------------------------------------------

@@ -96,9 +96,7 @@ def test_criterion_03_jump_formula_consistency():
     worst = 0.0
     for model, dens, grid in cases:
         h = np.asarray(dens(model, grid))
-        # eps tightened: near the band-edge singularities the extrapolation
-        # toward the cut needs a smaller standoff
-        o = np.asarray(branch_cut_density(model, grid, eps=1e-4))
+        o = np.asarray(branch_cut_density(model, grid))
         worst = max(worst, float(np.max(np.abs(h - o) / np.abs(o))))
     elapsed = time.time() - t0
     report(3, "jump-formula consistency",

@@ -126,6 +126,25 @@ def test_engine_matches_wavenumber_path(model_name, request):
         assert abs(d_quad - d_kappa) <= 1e-6 * abs(d_kappa)
 
 
+@pytest.mark.parametrize("model_name",
+                         ["cc", "sls", "hn", "cd", "power_law_half"])
+def test_both_routes_are_zero_at_zero_frequency(model_name, request):
+    # beta(0) = 0: the closed-form route returned an error at omega = 0
+    model = request.getfixturevalue(model_name)
+    if isinstance(model, cw.SpectralMeasure):
+        meas, model = model, cw.MeasureMedium(model, c_inf=math.inf)
+    else:
+        meas = cw.spectral_measure(model)
+    assert attenuation(meas, 0.0) == attenuation_from_wavenumber(model, 0.0)
+    assert dispersion(meas, 0.0) == dispersion_from_wavenumber(model, 0.0)
+    grid = np.array([0.0, 1.0 / TAU])
+    a = attenuation_from_wavenumber(model, grid)
+    d = dispersion_from_wavenumber(model, grid)
+    assert a[0] == 0.0 and d[0] == 0.0
+    assert a[1] == pytest.approx(attenuation(meas, grid[1]), rel=1e-6)
+    assert d[1] == pytest.approx(dispersion(meas, grid[1]), rel=1e-6)
+
+
 @pytest.fixture(scope="module")
 def sls_stiff():
     # a = 1e4: c0 is a hundredth of c_inf, beta is small against p/c_inf

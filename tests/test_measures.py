@@ -179,6 +179,49 @@ def test_jump_oracle_agreement_sampled(cc, hn):
         assert np.all(np.abs(h - o) <= 1e-6 * np.abs(o))
 
 
+@pytest.mark.parametrize("name, dens", [
+    ("cc", cc_spectral_density), ("sls", sls_spectral_density),
+    ("hn", hn_spectral_density), ("cd", cd_spectral_density)])
+def test_jump_oracle_agrees_to_roundoff(name, dens, request):
+    # the boundary-value oracle against the closed-form densities on the
+    # fixtures: 1e-13 inside the support, exactly 0 outside it and at
+    # tau r = 1 (h(1/tau) = 0 for the SLS and Cole-Davidson)
+    model = request.getfixturevalue(name)
+    r = np.concatenate((np.logspace(-3, 3, 601), [1.0])) / model.tau
+    h = dens(model, r)
+    o = branch_cut_density(model, r)
+    inside = h > 0.0
+    assert np.all(np.abs(o - h)[inside] <= 1e-13 * h[inside])
+    assert np.all(o[~inside] == 0.0)
+    if name in ("sls", "cd"):
+        assert branch_cut_density(model, 1.0 / model.tau) == 0.0
+        assert np.count_nonzero(~inside) > 100
+
+
+@pytest.mark.parametrize("model, dens, tr", [
+    # Re Z = 1 - b cos(gamma f)/g cancels for b near 1 at small tau r
+    pytest.param(cw.HavriliakNegami(b=1.0 - 2e-4, alpha=0.98, gamma=0.1,
+                                    tau=1.0, g0=1.0), hn_spectral_density,
+                 np.logspace(-3, -2, 11), id="hn-b-near-one"),
+    # J1^2 underflows at tiny tau r
+    pytest.param(cw.ColeCole(a=1.5, alpha=0.7, tau=1.0, g_inf=1.0),
+                 cc_spectral_density, np.array([1e-200, 1e-230, 1e-250]),
+                 id="cc-tiny-tau-r"),
+    # (Im Z)^2 underflows for tiny b
+    pytest.param(cw.HavriliakNegami(b=1e-170, alpha=0.5, gamma=1.0,
+                                    tau=1.0, g0=1.0), hn_spectral_density,
+                 np.logspace(-3, 3, 7), id="hn-tiny-b"),
+    # at gamma = 1 the density is 0 above tau r = 1, but sin(pi) != 0
+    pytest.param(cw.ColeDavidson(b=0.5, gamma=1.0, tau=1.0, g0=1.0),
+                 cd_spectral_density, np.linspace(0.55, 3.0, 50),
+                 id="cd-gamma-one"),
+])
+def test_density_matches_the_oracle_where_it_was_off(model, dens, tr):
+    h = dens(model, tr)
+    o = branch_cut_density(model, tr)
+    assert np.all(np.abs(h - o) <= 1e-13 * o)
+
+
 def _finite_band_beta_reference(height, r_lo, r_hi, p):
     with mpmath.workdps(40):
         pm = mpmath.mpc(p)

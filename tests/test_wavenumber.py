@@ -3,10 +3,18 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmwave as cw
+from cmwave.measures import (
+    cc_spectral_density,
+    cd_spectral_density,
+    hn_spectral_density,
+    sls_spectral_density,
+)
 from cmwave.wavenumber import (
-    JumpExtrapolationError,
+    MeasureMedium,
     branch_cut_density,
     complex_modulus,
     dispersion_attenuation,
@@ -95,14 +103,18 @@ def test_beta_matches_measure_quadrature(cc):
 
 def test_jump_oracle_outside_band_is_zero(sls):
     val = branch_cut_density(sls, 2.0 / sls.tau)
-    assert abs(val) < 1e-8 / sls.c0
+    assert val == 0.0
 
 
 def test_jump_oracle_eps_validation(cc):
     with pytest.raises(ValueError):
-        branch_cut_density(cc, 1.0 / cc.tau, eps=1e-2)
-    with pytest.raises(ValueError):
         branch_cut_density(cc, -1.0)
+
+
+def test_jump_oracle_rejects_a_measure_medium(finite_band):
+    # a MeasureMedium defines its density directly
+    with pytest.raises(TypeError):
+        branch_cut_density(MeasureMedium(finite_band, c_inf=5000.0), 1.5)
 
 
 def test_conjugate_symmetry(cc, sls, hn, cd):
@@ -148,12 +160,102 @@ def test_admissibility_kappa_squared_over_p(cc, sls, hn, cd):
         assert np.all(np.imag(f_hp) >= -1e-12 * np.abs(f_hp))
 
 
-def test_jump_oracle_flags_unresolvable_point(sls):
-    # immediately next to the band-edge singularity the extrapolation
-    # cannot contract at this standoff
-    r = (1 / 1.5 + 1e-7) / sls.tau
-    with pytest.raises(JumpExtrapolationError):
-        branch_cut_density(sls, r, eps=1e-3)
+@pytest.mark.parametrize("rel", [1e-7, 1e-10])
+def test_jump_oracle_next_to_the_sls_edge(sls, rel):
+    # next to the inverse-square-root edge 1/(a tau) of the support
+    r = (1.0 + rel) / (sls.a * sls.tau)
+    h = sls_spectral_density(sls, r)
+    assert abs(branch_cut_density(sls, r) - h) <= 1e-13 * h
+
+
+_SLS_A2 = cw.StandardLinearSolid(a=2.0, tau=1.0, g_inf=1.0)
+_CD_06 = cw.ColeDavidson(b=0.5, gamma=0.6, tau=1.0, g0=1.0)
+_CD_06_EDGE = 1.0 - 0.5 ** (1.0 / 0.6)
+
+
+@pytest.mark.parametrize("model, dens, tr", [
+    pytest.param(_SLS_A2, sls_spectral_density, 0.5012, id="sls-0.5012"),
+    pytest.param(_SLS_A2, sls_spectral_density, 1.0, id="sls-1"),
+    pytest.param(_CD_06, cd_spectral_density, 1.0, id="cd-1"),
+    pytest.param(_CD_06, cd_spectral_density, _CD_06_EDGE * (1.0 - 1e-9),
+                 id="cd-below-edge"),
+    pytest.param(_CD_06, cd_spectral_density, _CD_06_EDGE * (1.0 + 1e-9),
+                 id="cd-above-edge"),
+])
+def test_jump_oracle_at_edges_and_zeros(model, dens, tr):
+    # near the SLS lower edge, at the zero h(1/tau) = 0 and on both sides
+    # of the Cole-Davidson edge, where an extrapolation toward the cut from
+    # off it is quietly wrong
+    h = dens(model, tr / model.tau)
+    o = branch_cut_density(model, tr / model.tau)
+    if h == 0.0:
+        assert o == 0.0
+    else:
+        assert abs(o - h) <= 1e-13 * h
+
+
+@pytest.mark.parametrize("model, dens", [
+    pytest.param(cw.HavriliakNegami(b=1.0, alpha=0.7, gamma=0.5, tau=1.0,
+                                    g0=1.0), hn_spectral_density, id="hn"),
+    pytest.param(cw.ColeDavidson(b=1.0, gamma=0.5, tau=1.0, g0=1.0),
+                 cd_spectral_density, id="cd"),
+])
+def test_jump_oracle_far_below_the_relaxation_rate_at_b_one(model, dens):
+    # with G_inf = 0, G0/Q - 1 is of order (tau r)^alpha: log(1 + y) must
+    # keep its relative accuracy there
+    tr = np.logspace(-9, -3, 13)
+    h = dens(model, tr)
+    assert np.all(np.abs(branch_cut_density(model, tr) - h) <= 1e-13 * h)
+
+
+_DENSITY = {cw.ColeCole: cc_spectral_density,
+            cw.StandardLinearSolid: sls_spectral_density,
+            cw.HavriliakNegami: hn_spectral_density,
+            cw.ColeDavidson: cd_spectral_density}
+_ALPHA = st.floats(0.02, 0.98)
+_GAMMA = st.floats(0.05, 1.0)
+_B = st.floats(0.0, 1.0, exclude_min=True)
+_A = st.floats(1.0, 1e4, exclude_min=True)
+_MODELS = st.one_of(
+    st.builds(cw.ColeCole, a=_A, alpha=_ALPHA, tau=st.just(1.0),
+              g_inf=st.just(1.0)),
+    st.builds(cw.StandardLinearSolid, a=_A, tau=st.just(1.0),
+              g_inf=st.just(1.0)),
+    st.builds(cw.HavriliakNegami, b=_B, alpha=_ALPHA, gamma=_GAMMA,
+              tau=st.just(1.0), g0=st.just(1.0)),
+    st.builds(cw.ColeDavidson, b=_B, gamma=_GAMMA, tau=st.just(1.0),
+              g0=st.just(1.0)),
+)
+
+
+def _support(model):
+    """(lower, upper) support edges of the density in tau r."""
+    if isinstance(model, cw.StandardLinearSolid):
+        return 1.0 / model.a, 1.0
+    if isinstance(model, cw.ColeDavidson):
+        if model.gamma == 1.0:
+            return 1.0 - model.b, 1.0
+        return 1.0 - model.b ** (1.0 / model.gamma), math.inf
+    return 0.0, math.inf
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(model=_MODELS, u=st.lists(st.floats(-3.0, 3.0), min_size=1,
+                                 max_size=20))
+def test_jump_oracle_matches_the_densities(model, u):
+    # finite and >= 0 everywhere, exactly 0 off the support, and within
+    # 1e-12 of the closed-form density from 1e-3 above the lower edge (for
+    # b near 1e-308 the density itself falls below the normal range, where
+    # no float carries 1e-12 relative precision)
+    tr = 10.0 ** np.asarray(u)
+    o = np.asarray(branch_cut_density(model, tr))
+    assert np.all(np.isfinite(o)) and np.all(o >= 0.0)
+    lo, hi = _support(model)
+    assert np.all(o[(tr <= lo) | (tr >= hi)] == 0.0)
+    h = _DENSITY[type(model)](model, tr)
+    far = tr >= lo * (1.0 + 1e-3)
+    tol = 1e-12 * h[far] + np.finfo(float).tiny
+    assert np.all(np.abs(o - h)[far] <= tol)
 
 
 def test_beta_at_infinity_closed_form():
