@@ -31,6 +31,9 @@ __all__ = ["GridIntegrals", "QuadratureError", "integrate_density",
            "integrate_grid", "integrate_measure"]
 
 _EPSREL = 1e-11
+# the relative accuracy contract of both routes: a point whose error
+# estimate exceeds it, or a grid still moving by more than it, raises
+_RTOL = 1e-8
 _LIMIT = 200
 # log-space half-widths: the integrand is resolved around each landmark
 _OFFSETS = (1.5, 5.0, 15.0)
@@ -62,8 +65,7 @@ def _piece(f, a, b):
 
 
 def integrate_density(f, r_lo, r_hi, *, landmarks=(), low_exp=0.0,
-                      high_exp=None, sqrt_left=False, scale=1.0,
-                      rel_tol=1e-8):
+                      high_exp=None, sqrt_left=False, scale=1.0):
     """Integrate ``f`` over (r_lo, r_hi).
 
     Parameters
@@ -154,7 +156,7 @@ def integrate_density(f, r_lo, r_hi, *, landmarks=(), low_exp=0.0,
 
     if not (math.isfinite(total) and math.isfinite(err)):
         raise QuadratureError("non-finite integral", err)
-    if err > rel_tol * abs(total) + 1e-300:
+    if err > _RTOL * abs(total) + 1e-300:
         raise QuadratureError("quadrature did not converge", err)
     return total
 
@@ -169,7 +171,7 @@ def _sqrt_left_piece(f, a, b):
 
 
 def integrate_measure(m, weight, *, landmarks=(), weight_low_exp=0.0,
-                      weight_high_exp=0.0, rel_tol=1e-8):
+                      weight_high_exp=0.0):
     """Integrate ``h(r) * weight(r)`` over the support of measure ``m``.
 
     ``weight_low_exp`` / ``weight_high_exp`` describe the weight's power
@@ -197,7 +199,6 @@ def integrate_measure(m, weight, *, landmarks=(), weight_low_exp=0.0,
         high_exp=high,
         sqrt_left=m.sqrt_singular_left,
         scale=m.r_scale,
-        rel_tol=rel_tol,
     )
 
 
@@ -213,9 +214,7 @@ _H0 = 0.5
 # the lattice is offset from 0 by a non-dyadic fraction of the first step,
 # so no halving ever puts a node on the centre of a tanh^2 piece
 _SHIFT = _H0 / 3.0
-# the relative tolerance of every value, as on the scalar route; more
-# nodes than _MAX_NODES and the grid raises rather than refine further
-_GRID_RTOL = 1e-8
+# more nodes than this and the grid raises rather than refine further
 _MAX_NODES = 1 << 17
 # frequencies and nodes per kernel block: the node x frequency temporaries
 # stay below 2048 x 64 doubles whatever the grid length
@@ -384,8 +383,8 @@ def integrate_grid(m, omega) -> GridIntegrals:
             err_att = np.abs(att - prev_att)
             err_dis = np.abs(dis - prev_dis)
             achieved = float(max(np.max(err_att), np.max(err_dis)))
-            if (np.all(err_att <= _GRID_RTOL * att)
-                    and np.all(err_dis <= _GRID_RTOL * dis)):
+            if (np.all(err_att <= _RTOL * att)
+                    and np.all(err_dis <= _RTOL * dis)):
                 break
         level += 1
     if not (np.all(np.isfinite(att)) and np.all(np.isfinite(dis))):

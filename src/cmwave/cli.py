@@ -7,6 +7,11 @@ omega = 1e6 rad/s); everything internal is SI (rad/s).  Output is
 deterministic: data rows never contain timestamps, and the metadata header
 carries a hash of the resolved configuration instead.
 
+Options may also come from a file given by ``--config``: each ``key=value``
+line is the flag ``--key=value`` of the subcommand, parsed by the same
+parser ahead of the command-line flags, so the flags win and a file value
+is checked exactly as a flag is.  ``config`` and ``output`` are not keys.
+
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage or configuration error, 3 numerical failure.
 """
@@ -14,10 +19,12 @@ Exit codes: 0 success / all checks passed, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,43 +56,80 @@ __all__ = ["main"]
 
 _OMEGA_UNIT = 1e6  # "MHz" on the CLI axis = 1e6 rad/s, matching the plots
 
-_MODEL_CHOICES = ("cole-cole", "sls", "havriliak-negami", "cole-davidson",
-                  "power-law", "finite-band", "synthetic-bad")
-
 
 class UsageError(Exception):
     pass
 
 
+def _g_inf(o) -> float:
+    return o.rho * (o.cinf / math.sqrt(o.a)) ** 2
+
+
+class _Model(NamedTuple):
+    needs: tuple[str, ...]
+    build: Callable | None
+
+
+# every --model: the options it requires and its builder.  The builders
+# look the factories up on ``measures`` when called, so a wrapper put there
+# (the benchmark's tracer) sees every call
+_MODELS = {
+    "cole-cole": _Model(
+        ("a", "alpha", "tau", "cinf"),
+        lambda o: measures.ColeCole(a=o.a, alpha=o.alpha, tau=o.tau,
+                                    g_inf=_g_inf(o), rho=o.rho)),
+    "sls": _Model(
+        ("a", "tau", "cinf"),
+        lambda o: measures.StandardLinearSolid(a=o.a, tau=o.tau,
+                                               g_inf=_g_inf(o), rho=o.rho)),
+    "havriliak-negami": _Model(
+        ("b", "alpha", "gamma", "tau", "cinf"),
+        lambda o: measures.HavriliakNegami(b=o.b, alpha=o.alpha,
+                                           gamma=o.gamma, tau=o.tau,
+                                           g0=o.rho * o.cinf ** 2, rho=o.rho)),
+    "cole-davidson": _Model(
+        ("b", "gamma", "tau", "cinf"),
+        lambda o: measures.ColeDavidson(b=o.b, gamma=o.gamma, tau=o.tau,
+                                        g0=o.rho * o.cinf ** 2, rho=o.rho)),
+    "power-law": _Model(
+        ("acoef", "gammaexp"),
+        lambda o: MeasureMedium(
+            measures.make_powerlaw_measure(o.acoef, o.gammaexp),
+            c_inf=math.inf, rho=o.rho)),
+    "finite-band": _Model(
+        ("height", "rlo", "rhi", "cinf"),
+        lambda o: MeasureMedium(
+            measures.make_finiteband_measure(o.height, o.rlo, o.rhi),
+            c_inf=o.cinf, rho=o.rho)),
+    # a rational wave number with no medium behind it: cmd_verify's
+    # counterexample
+    "synthetic-bad": _Model((), None),
+}
+
+# the model parameters, float options of every subcommand; the Green's CSV
+# header records each one that is set
+_MODEL_PARAMS = {
+    "a": "high/low modulus ratio (cole-cole, sls)",
+    "alpha": "fractional exponent",
+    "b": "relaxation strength (havriliak-negami, cole-davidson)",
+    "gamma": "stretching exponent (havriliak-negami, cole-davidson)",
+    "tau": "relaxation time in s",
+    "cinf": "wavefront speed in m/s",
+    "rho": "density in kg/m^3 (default %(default)s)",
+    "acoef": "power-law measure coefficient",
+    "gammaexp": "power-law measure exponent in (0,1)",
+    "height": "finite-band density level",
+    "rlo": "finite-band lower edge in 1/s",
+    "rhi": "finite-band upper edge in 1/s",
+}
+
+
 def _build_model(args):
-    c_inf = args.cinf
-    rho = args.rho
-    name = args.model
-    if name == "cole-cole":
-        g_inf = rho * (c_inf / math.sqrt(args.a)) ** 2
-        return measures.ColeCole(a=args.a, alpha=args.alpha, tau=args.tau,
-                                 g_inf=g_inf, rho=rho)
-    if name == "sls":
-        g_inf = rho * (c_inf / math.sqrt(args.a)) ** 2
-        return measures.StandardLinearSolid(a=args.a, tau=args.tau,
-                                            g_inf=g_inf, rho=rho)
-    if name == "havriliak-negami":
-        return measures.HavriliakNegami(b=args.b, alpha=args.alpha,
-                                        gamma=args.gamma, tau=args.tau,
-                                        g0=rho * c_inf ** 2, rho=rho)
-    if name == "cole-davidson":
-        return measures.ColeDavidson(b=args.b, gamma=args.gamma,
-                                     tau=args.tau, g0=rho * c_inf ** 2,
-                                     rho=rho)
-    if name == "power-law":
-        m = measures.make_powerlaw_measure(args.acoef, args.gammaexp)
-        return MeasureMedium(m, c_inf=math.inf, rho=rho)
-    if name == "finite-band":
-        m = measures.make_finiteband_measure(args.height, args.rlo, args.rhi)
-        return MeasureMedium(m, c_inf=c_inf, rho=rho)
-    if name == "synthetic-bad":
-        return None  # handled by cmd_verify only
-    raise UsageError(f"unknown model {name!r}")
+    build = _MODELS[args.model].build
+    if build is None:
+        raise UsageError(f"model {args.model!r} has no medium; use it with "
+                         "verify")
+    return build(args)
 
 
 def _parse_range(spec: str) -> tuple[float, float]:
@@ -99,14 +143,13 @@ def _parse_range(spec: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _omega_grid(args) -> np.ndarray:
+def _log_grid(args, unit: float) -> np.ndarray:
+    """--ppd points per decade over --range, in units of ``unit``."""
     lo, hi = _parse_range(args.range)
-    decades = math.log10(hi / lo)
-    n = int(round(decades * args.ppd)) + 1
+    n = int(round(math.log10(hi / lo) * args.ppd)) + 1
     if n < 1:
-        raise UsageError("empty frequency range")
-    return np.logspace(math.log10(lo * _OMEGA_UNIT),
-                       math.log10(hi * _OMEGA_UNIT), n)
+        raise UsageError("empty range")
+    return np.logspace(math.log10(lo * unit), math.log10(hi * unit), n)
 
 
 def _config_hash(args) -> str:
@@ -116,26 +159,25 @@ def _config_hash(args) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _open_output(args):
+@contextlib.contextmanager
+def _output(args):
     if args.output and args.output != "-":
-        return open(args.output, "w"), True
-    return sys.stdout, False
+        with open(args.output, "w") as fh:
+            yield fh
+    else:
+        yield sys.stdout
 
 
 def _write_table(args, header, rows):
-    buf, close = _open_output(args)
-    try:
+    with _output(args) as buf:
         buf.write(f"# cmwave {args.command} config_sha256={_config_hash(args)}\n")
         buf.write(",".join(header) + "\n")
         for row in rows:
             buf.write(",".join(f"{v:.16e}" for v in row) + "\n")
-    finally:
-        if close:
-            buf.close()
 
 
 def cmd_curves(args) -> int:
-    table = curve(_build_model(args), _omega_grid(args))
+    table = curve(_build_model(args), _log_grid(args, _OMEGA_UNIT))
     rows = zip(table.omega / _OMEGA_UNIT, table.attenuation,
                table.dispersion, table.phase_speed)
     _write_table(args, ["omega_MHz", "attenuation_per_m", "dispersion_per_m",
@@ -145,9 +187,7 @@ def cmd_curves(args) -> int:
 
 def cmd_spectrum(args) -> int:
     model = _build_model(args)
-    lo, hi = _parse_range(args.range)
-    n = int(round(math.log10(hi / lo) * args.ppd)) + 1
-    grid = np.logspace(math.log10(lo), math.log10(hi), n)
+    grid = _log_grid(args, 1.0)
     meas = (model.measure if isinstance(model, MeasureMedium)
             else measures.spectral_measure(model))
     _write_table(args, ["r_per_s", "density"], zip(grid, meas.density(grid)))
@@ -158,25 +198,19 @@ def cmd_greens(args) -> int:
     model = _build_model(args)
     synth = green1d if args.dim == 1 else green3d
     wave = synth(model, x=args.x, n_samples=args.n, T=args.T)
-    buf, close = _open_output(args)
-    try:
+    with _output(args) as buf:
         wave.to_csv(buf, metadata={
             "config_sha256": _config_hash(args),
             "model": json.dumps({"name": args.model, **_model_params(args)},
                                 sort_keys=True),
             "dim": args.dim,
         })
-    finally:
-        if close:
-            buf.close()
     return 0
 
 
 def _model_params(args) -> dict:
-    keys = ("a", "alpha", "b", "gamma", "tau", "cinf", "rho", "acoef",
-            "gammaexp", "height", "rlo", "rhi")
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None)
-            is not None}
+    return {k: getattr(args, k) for k in _MODEL_PARAMS
+            if getattr(args, k) is not None}
 
 
 def cmd_verify(args) -> int:
@@ -234,93 +268,24 @@ def cmd_verify(args) -> int:
         "pass": all(c.passed for c in checks),
         "checks": [c.to_dict() for c in checks],
     }
-    buf, close = _open_output(args)
-    try:
+    with _output(args) as buf:
         json.dump(report, buf, indent=2)
         buf.write("\n")
-    finally:
-        if close:
-            buf.close()
     return 0 if report["pass"] else 1
 
 
-def _add_model_arguments(sub):
-    sub.add_argument("--model", default=None, choices=_MODEL_CHOICES)
-    sub.add_argument("--a", type=float, default=None,
-                     help="high/low modulus ratio (cole-cole, sls)")
-    sub.add_argument("--alpha", type=float, default=None,
-                     help="fractional exponent")
-    sub.add_argument("--b", type=float, default=None,
-                     help="relaxation strength (havriliak-negami, "
-                          "cole-davidson)")
-    sub.add_argument("--gamma", type=float, default=None,
-                     help="stretching exponent (havriliak-negami, "
-                          "cole-davidson)")
-    sub.add_argument("--tau", type=float, default=None,
-                     help="relaxation time in s")
-    sub.add_argument("--cinf", type=float, default=None,
-                     help="wavefront speed in m/s")
-    sub.add_argument("--rho", type=float, default=None,
-                     help="density in kg/m^3 (default 1)")
-    sub.add_argument("--acoef", type=float, default=None,
-                     help="power-law measure coefficient")
-    sub.add_argument("--gammaexp", type=float, default=None,
-                     help="power-law measure exponent in (0,1)")
-    sub.add_argument("--height", type=float, default=None,
-                     help="finite-band density level")
-    sub.add_argument("--rlo", type=float, default=None,
-                     help="finite-band lower edge in 1/s")
-    sub.add_argument("--rhi", type=float, default=None,
-                     help="finite-band upper edge in 1/s")
-    sub.add_argument("--config", default=None,
-                     help="key=value file; command-line flags override it")
-    sub.add_argument("--output", "-o", default="-",
-                     help="output file (default stdout)")
+def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--model", choices=tuple(_MODELS))
+    for key, text in _MODEL_PARAMS.items():
+        common.add_argument(f"--{key}", type=float, help=text)
+    common.set_defaults(rho=1.0)
+    common.add_argument("--config",
+                        help="file of key=value lines, each the flag "
+                             "--key=value; command-line flags override it")
+    common.add_argument("--output", "-o", default="-",
+                        help="output file (default stdout)")
 
-
-# options left unset on the command line are None; the config file fills
-# them first and these defaults cover the rest, so flags always win
-_FLOAT_KEYS = ("a", "alpha", "b", "gamma", "tau", "cinf", "rho", "acoef",
-               "gammaexp", "height", "rlo", "rhi", "x", "T")
-_INT_KEYS = ("ppd", "n", "dim")
-_DEFAULTS = {"ppd": 20, "n": 4096, "dim": 1, "rho": 1.0}
-
-
-def _apply_config_file(args):
-    if not args.config:
-        return
-    try:
-        with open(args.config) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"malformed config line {line!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        if not hasattr(args, key) or key in ("config", "output", "func",
-                                             "command"):
-            raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, key) is None:
-            if key in _FLOAT_KEYS:
-                setattr(args, key, float(val))
-            elif key in _INT_KEYS:
-                setattr(args, key, int(val))
-            else:
-                setattr(args, key, val)
-
-
-def _fill_defaults(args):
-    for key, val in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, val)
-
-
-def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cmwave",
         description="Attenuation, dispersion and Green's functions for "
@@ -331,49 +296,79 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_curves = sub.add_parser("curves",
+    p_curves = sub.add_parser("curves", parents=[common],
                               help="attenuation/dispersion/phase-speed table")
-    _add_model_arguments(p_curves)
-    p_curves.add_argument("--range", default=None,
+    p_curves.add_argument("--range",
                           help="angular frequency range MIN:MAX in MHz "
                                "(1e6 rad/s)")
-    p_curves.add_argument("--ppd", type=int, default=None,
-                          help="points per decade (default 20)")
+    p_curves.add_argument("--ppd", type=int, default=20,
+                          help="points per decade (default %(default)s)")
     p_curves.set_defaults(func=cmd_curves)
 
-    p_spec = sub.add_parser("spectrum", help="spectral density table")
-    _add_model_arguments(p_spec)
-    p_spec.add_argument("--range", default=None,
-                        help="spectral rate range MIN:MAX in 1/s")
-    p_spec.add_argument("--ppd", type=int, default=None)
+    p_spec = sub.add_parser("spectrum", parents=[common],
+                            help="spectral density table")
+    p_spec.add_argument("--range", help="spectral rate range MIN:MAX in 1/s")
+    p_spec.add_argument("--ppd", type=int, default=20,
+                        help="points per decade (default %(default)s)")
     p_spec.set_defaults(func=cmd_spectrum)
 
-    p_green = sub.add_parser("greens", help="Green's function waveform CSV")
-    _add_model_arguments(p_green)
-    p_green.add_argument("--x", type=float, default=None,
-                         help="distance in m")
-    p_green.add_argument("--T", type=float, default=None,
-                         help="record length in s")
-    p_green.add_argument("--n", type=int, default=None,
-                         help="samples (power of two >= 4096)")
-    p_green.add_argument("--dim", type=int, choices=(1, 3), default=None)
+    p_green = sub.add_parser("greens", parents=[common],
+                             help="Green's function waveform CSV")
+    p_green.add_argument("--x", type=float, help="distance in m")
+    p_green.add_argument("--T", type=float, help="record length in s")
+    p_green.add_argument("--n", type=int, default=4096,
+                         help="samples, a power of two >= 4096 (default "
+                              "%(default)s)")
+    p_green.add_argument("--dim", type=int, choices=(1, 3), default=1,
+                         help="dimension (default %(default)s)")
     p_green.set_defaults(func=cmd_greens)
 
-    p_verify = sub.add_parser("verify",
+    p_verify = sub.add_parser("verify", parents=[common],
                               help="JSON report of the verification battery")
-    _add_model_arguments(p_verify)
     p_verify.set_defaults(func=cmd_verify)
+    return parser
 
+
+_PARSER = _build_parser()
+
+
+def _config_flags(args) -> list[str]:
+    """The lines of the --config file as flags --key=value, each key an
+    option of the subcommand other than config and output."""
     try:
-        args = parser.parse_args(argv)
-        _apply_config_file(args)
-        _fill_defaults(args)
+        with open(args.config) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
+    flags = []
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"malformed config line {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        # every option's dest is its long name, so --key is exactly one
+        if key not in vars(args) or key in ("command", "func", "config",
+                                            "output"):
+            raise UsageError(f"unknown config key {key!r}")
+        flags.append(f"--{key}={val}")
+    return flags
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+        if args.config:
+            # the file's flags go right after the subcommand, so the
+            # command line's come later and win
+            at = argv.index(args.command) + 1
+            args = _PARSER.parse_args(
+                [*argv[:at], *_config_flags(args), *argv[at:]])
         _validate_required(args)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, NotImplementedError) as exc:
+    except (UsageError, ValueError, TypeError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureError, SpectralDecayError, MLToleranceError,
@@ -385,16 +380,8 @@ def main(argv=None) -> int:
 def _validate_required(args) -> None:
     if args.model is None:
         raise UsageError("--model is required (flag or config file)")
-    need = {
-        "cole-cole": ("a", "alpha", "tau", "cinf"),
-        "sls": ("a", "tau", "cinf"),
-        "havriliak-negami": ("b", "alpha", "gamma", "tau", "cinf"),
-        "cole-davidson": ("b", "gamma", "tau", "cinf"),
-        "power-law": ("acoef", "gammaexp"),
-        "finite-band": ("height", "rlo", "rhi", "cinf"),
-        "synthetic-bad": (),
-    }
-    missing = [k for k in need[args.model] if getattr(args, k) is None]
+    missing = [k for k in _MODELS[args.model].needs
+               if getattr(args, k) is None]
     if missing:
         raise UsageError(
             f"model {args.model!r} requires --" + ", --".join(missing))

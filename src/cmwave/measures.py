@@ -64,8 +64,6 @@ class SpectralMeasure:
     tail_exponent_low:
         exponent ``k`` with ``h(r) = O(r**k)`` as ``r -> 0+``; only
         meaningful when the support reaches 0, else ``None``.
-    d_finite:
-        whether ``D = int h(r)/r dr`` converges.
     r_scale:
         characteristic spectral rate (1/s), used to centre quadrature and
         sampling grids.
@@ -87,7 +85,6 @@ class SpectralMeasure:
     support: tuple[float, float]
     tail_exponent_high: float
     tail_exponent_low: float | None
-    d_finite: bool
     r_scale: float
     sqrt_singular_left: bool = False
     breaks: tuple[float, ...] = ()
@@ -100,6 +97,14 @@ class SpectralMeasure:
     @property
     def all_moments_finite(self) -> bool:
         return math.isinf(self.tail_exponent_high)
+
+    @property
+    def d_finite(self) -> bool:
+        """Whether ``D = int h(r)/r dr`` converges: the support is empty or
+        starts above 0, or h vanishes at 0 like a positive power."""
+        r_lo, r_hi = self.support
+        return (r_hi <= r_lo or r_lo > 0.0
+                or (self.tail_exponent_low or 0.0) > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +419,6 @@ def spectral_measure(model) -> SpectralMeasure:
             support=(0.0, math.inf),
             tail_exponent_high=model.alpha,
             tail_exponent_low=model.alpha,
-            d_finite=True,
             r_scale=1.0 / model.tau,
             label="cole-cole",
         )
@@ -424,7 +428,6 @@ def spectral_measure(model) -> SpectralMeasure:
             support=(1.0 / (model.a * model.tau), 1.0 / model.tau),
             tail_exponent_high=math.inf,
             tail_exponent_low=None,
-            d_finite=True,
             r_scale=1.0 / model.tau,
             sqrt_singular_left=True,
             label="sls",
@@ -437,7 +440,6 @@ def spectral_measure(model) -> SpectralMeasure:
             # with G_inf = 0 (b = 1) the density grows like r^(-alpha/2)
             tail_exponent_low=-model.alpha / 2 if model.b == 1.0
             else model.alpha,
-            d_finite=model.b < 1.0,
             r_scale=1.0 / model.tau,
             label="havriliak-negami",
         )
@@ -449,7 +451,6 @@ def spectral_measure(model) -> SpectralMeasure:
             tail_exponent_high=model.gamma,
             # at b = 1 the support reaches 0 with h ~ r^(-1/2)
             tail_exponent_low=-0.5 if model.b == 1.0 else None,
-            d_finite=model.b < 1.0,
             r_scale=1.0 / model.tau,
             sqrt_singular_left=True,
             breaks=(1.0 / model.tau,),
@@ -483,7 +484,6 @@ def make_powerlaw_measure(a_coef: float, gamma_exp: float) -> SpectralMeasure:
         support=(0.0, math.inf),
         tail_exponent_high=1.0 - gamma_exp,
         tail_exponent_low=gamma_exp - 1.0,
-        d_finite=False,
         r_scale=1.0,
         beta_fn=beta_fn,
         label="power-law",
@@ -518,7 +518,6 @@ def make_finiteband_measure(height: float, r_lo: float, r_hi: float) -> Spectral
         support=(r_lo, r_hi),
         tail_exponent_high=math.inf,
         tail_exponent_low=None,
-        d_finite=r_lo > 0.0,
         r_scale=math.sqrt(max(r_lo, r_hi * 1e-12) * r_hi),
         beta_fn=beta_fn,
         label="finite-band",
@@ -543,7 +542,6 @@ def zero_measure() -> SpectralMeasure:
         support=(0.0, 0.0),
         tail_exponent_high=math.inf,
         tail_exponent_low=None,
-        d_finite=True,
         r_scale=1.0,
         beta_fn=beta_fn,
         label="zero",

@@ -114,6 +114,23 @@ def _principal_power(z, e):
     return out
 
 
+def _expm1_log_power(y, gamma, log_b):
+    """expm1(log b - gamma log(1 + y)) = b (1 + y)^-gamma - 1 for complex y,
+    in real arithmetic: log|1 + y| by log1p for |y| < 1/2 (numpy's complex
+    log1p loses digits there) and the real part as
+    expm1(m_re) cos(theta) - 2 sin^2(theta/2), so no part cancels."""
+    near = np.abs(y) < 0.5
+    with np.errstate(divide="ignore"):   # 1 + y = 0 at tau r = 1 on the cut
+        log_mod = np.log(np.abs(1.0 + y))
+    yn = y[near]
+    log_mod[near] = 0.5 * np.log1p(yn.real * (2.0 + yn.real) + yn.imag ** 2)
+    m_re = log_b - gamma * log_mod
+    theta = gamma * np.arctan2(y.imag, 1.0 + y.real)
+    return np.expm1(m_re) * np.cos(theta) - 2.0 * np.sin(0.5 * theta) ** 2 \
+        - 1j * np.multiply(np.exp(m_re), np.sin(theta), where=theta != 0.0,
+                           out=np.zeros_like(m_re))
+
+
 def _modulus_parts(model, p):
     """(Q(p), G0 - Q(p)) of an analytic relaxation model, for complex p of
     one dimension or more, as new arrays.
@@ -121,7 +138,8 @@ def _modulus_parts(model, p):
     The deficit G0 - Q is formed in closed form from the same power
     (tau p)^alpha as Q itself, never by subtracting two moduli:
     G_inf (a - 1)/(1 + (tau p)^alpha) for Cole-Cole and the SLS,
-    G0 b (1 + (tau p)^alpha)^-gamma for Havriliak-Negami and Cole-Davidson.
+    G0 b (1 + (tau p)^alpha)^-gamma for Havriliak-Negami and Cole-Davidson,
+    whose Q at b = 1 is -G0 expm1(-gamma log(1 + (tau p)^alpha)).
     """
     if isinstance(model, (ColeCole, StandardLinearSolid)):
         alpha = model.alpha if isinstance(model, ColeCole) else 1.0
@@ -135,11 +153,16 @@ def _modulus_parts(model, p):
     if isinstance(model, (HavriliakNegami, ColeDavidson)):
         alpha = model.alpha if isinstance(model, HavriliakNegami) else 1.0
         xa = _principal_power(model.tau * p, alpha)
+        if model.b == 1.0:
+            # 1 - (1 + x)^-gamma cancels for small x; -expm1 does not
+            q = _expm1_log_power(xa, model.gamma, 0.0)
+            q *= -model.g0
         xa += 1.0
         relaxed = _principal_power(xa, -model.gamma)
-        q = np.multiply(relaxed, model.b, out=xa)
-        np.subtract(1.0, q, out=q)
-        q *= model.g0
+        if model.b < 1.0:
+            q = np.multiply(relaxed, model.b, out=xa)
+            np.subtract(1.0, q, out=q)
+            q *= model.g0
         relaxed *= model.g0 * model.b
         return q, relaxed
     raise TypeError(f"no complex modulus for {type(model).__name__}")
@@ -220,19 +243,9 @@ def _cut_ratio(model, x):
     y = x ** alpha * (-1.0 + 0j if alpha == 1.0
                       else cmath.exp(1j * math.pi * alpha))
     if getattr(model, "gamma", 1.0) < 1.0:
-        # G0/Q = -1/expm1(m), m = log b - gamma log(1 + y) with log1p for
-        # |y| < 1/2; Im y is +0 for alpha = 1, so the phase is pi where
-        # 1 + y < 0
-        near = np.abs(y) < 0.5
-        with np.errstate(divide="ignore"):   # 1 + y = 0 at tau r = 1
-            log_mod = np.log(np.abs(1.0 + y))
-        yn = y[near]
-        log_mod[near] = 0.5 * np.log1p(yn.real * (2.0 + yn.real) + yn.imag ** 2)
-        m_re = math.log(model.b) - model.gamma * log_mod
-        theta = model.gamma * np.arctan2(y.imag, 1.0 + y.real)
-        em1 = np.expm1(m_re) * np.cos(theta) - 2.0 * np.sin(0.5 * theta) ** 2 \
-            - 1j * np.multiply(np.exp(m_re), np.sin(theta), where=theta != 0.0,
-                               out=np.zeros_like(x))
+        # G0/Q = -1/expm1(log b - gamma log(1 + y)); Im y is +0 for
+        # alpha = 1, so the phase is pi where 1 + y < 0
+        em1 = _expm1_log_power(y, model.gamma, math.log(model.b))
         return np.divide(-1.0, em1, where=em1 != 0.0, out=np.zeros_like(y))
     # Cole-Cole, the SLS and gamma = 1, where (1 + y)^gamma is 1 + y with
     # no rounded phase: G0/Q = num/den, its real part from that ratio and

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -177,6 +178,89 @@ def test_malformed_config_exits_2(tmp_path):
     proc = run_cli(["curves", "--model", "cole-cole", "--config", str(cfg),
                     "--range", "1:10"])
     assert proc.returncode == 2
+
+
+def exit_code(argv):
+    """main's return code, or the code of argparse's SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+SLS_GREENS = ["--model", "sls", "--a", "1.5", "--tau", "2e-6", "--cinf",
+              "5000", "--x", "0.05", "--T", "4e-5"]
+
+
+@pytest.mark.parametrize("line, argv", [
+    ("model=foo", ["greens", *SLS_GREENS[2:]]),
+    ("dim=2", ["greens", *SLS_GREENS]),
+    ("ppd=x", ["curves", *CC_ARGS, "--range", "1:10"]),
+    ("mod=sls", ["greens", *SLS_GREENS[2:]]),
+    ("output=out.csv", ["greens", *SLS_GREENS]),
+], ids=["bad-model", "bad-dim", "bad-int", "inexact-key", "output-key"])
+def test_config_faults_exit_2(line, argv, tmp_path, capsys):
+    # a config line is the flag --key=value of the subcommand, checked as
+    # that flag is; keys are exact option names, and output is no key
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{line}\n")
+    out = tmp_path / "out.csv"
+    assert exit_code([*argv, "--config", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_flags_win_wherever_they_stand(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=cole-cole\na=1.5\nalpha=0.5\ntau=1e-13\n"
+                   "cinf=5000\nrange=1e-2:1e2\nppd=4\n")
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    assert main(["curves", "--ppd", "2", "--config", str(cfg),
+                 "-o", str(before)]) == 0
+    assert main(["curves", "--config", str(cfg), "--ppd", "2",
+                 "-o", str(after)]) == 0
+    assert read_table(before)[1].shape[0] == 9
+    assert before.read_bytes() == after.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["curves", *CC_ARGS, "--range", "1e-2:1e2", "--ppd", "4"],
+    ["spectrum", *CC_ARGS, "--range", "1e11:1e15", "--ppd", "4"],
+    ["greens", *SLS_GREENS, "--n", "4096", "--dim", "3"],
+    ["verify", "--model", "synthetic-bad"],
+], ids=["curves", "spectrum", "greens", "verify"])
+def test_config_file_run_is_the_flag_run(argv, tmp_path):
+    # the same options from a file give the same bytes, header hash included
+    flags = argv[1:]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k[2:]} = {v}\n"
+                           for k, v in zip(flags[::2], flags[1::2])))
+    by_flags, by_file = tmp_path / "flags.out", tmp_path / "file.out"
+    code = main([*argv, "-o", str(by_flags)])
+    assert main([argv[0], "--config", str(cfg), "-o", str(by_file)]) == code
+    assert by_flags.read_bytes() == by_file.read_bytes()
+
+
+def test_two_calls_build_no_second_parser(monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        assert main(["curves", *CC_ARGS, "--range", "1:10", "--ppd", "1",
+                     "-o", str(tmp_path / "c.csv")]) == 0
+    assert built == []
+
+
+def test_synthetic_bad_outside_verify_exits_2(capsys):
+    rc = main(["curves", "--model", "synthetic-bad", "--range", "1:10"])
+    assert rc == 2
+    assert "verify" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

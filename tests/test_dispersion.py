@@ -310,7 +310,7 @@ def test_curve_matches_the_scalar_route(name, request):
 def _measure_with(density):
     return cw.SpectralMeasure(density=density, support=(0.0, math.inf),
                               tail_exponent_high=0.5, tail_exponent_low=0.0,
-                              d_finite=False, r_scale=1.0)
+                              r_scale=1.0)
 
 
 def test_curve_raises_on_a_density_it_cannot_resolve():

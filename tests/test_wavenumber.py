@@ -329,13 +329,23 @@ def test_beta_on_the_axis_matches_a_50_digit_reference(model):
     assert np.all(np.abs(beta - ref) <= 2e-15 * np.abs(ref))
 
 
+def _assert_beta_on_the_axis_at_roundoff(model):
+    omega = np.logspace(-6, 6, 49) / model.tau
+    beta = np.asarray(dispersion_attenuation(model, -1j * omega))
+    ref = np.array([_beta_reference(model, w) for w in omega])
+    assert np.all(np.abs(beta - ref) <= 2e-15 * np.abs(ref))
+
+
 def test_hn_b_one_beta_on_the_axis():
-    # with b = 1, Q = G0 (1 - (1 + x)^-gamma) cancels like 1/|x| at low
-    # frequency: 1.3e-12 at tau omega = 1e-6 (x = 6e-5), roundoff above
-    hn = cw.HavriliakNegami(b=1.0, alpha=0.7, gamma=0.5, tau=1e-13, g0=_G0)
-    omega = np.logspace(-6, 6, 49) / hn.tau
-    beta = np.asarray(dispersion_attenuation(hn, -1j * omega))
-    ref = np.array([_beta_reference(hn, w) for w in omega])
-    err = np.abs(beta - ref) / np.abs(ref)
-    assert np.all(err <= 5e-12)
-    assert np.all(err[omega * hn.tau >= 1.0] <= 2e-15)
+    # with b = 1, G0 (1 - (1 + x)^-gamma) would cancel like 1/|x| at low
+    # frequency (1.3e-12 at tau omega = 1e-6, x = 6e-5); the modulus is
+    # -G0 expm1(-gamma log(1 + x)) instead
+    _assert_beta_on_the_axis_at_roundoff(
+        cw.HavriliakNegami(b=1.0, alpha=0.7, gamma=0.5, tau=1e-13, g0=_G0))
+
+
+@pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0])
+def test_cd_b_one_beta_on_the_axis(gamma):
+    # the cancellation above was 3.3e-11 for gamma = 0.5, 1.6e-10 for 0.2
+    _assert_beta_on_the_axis_at_roundoff(
+        cw.ColeDavidson(b=1.0, gamma=gamma, tau=1e-13, g0=_G0))
