@@ -9,13 +9,18 @@ Two routes, one per use:
   discarded part is below roundoff, with the remaining tail added
   analytically from the measure's tail exponent.  Bounded supports are
   integrated directly, with a square-root substitution at endpoints where
-  the density is singular (or merely non-smooth).
+  the density is singular (or merely non-smooth).  It is the one route
+  that uses scipy: ``quad`` imports ``scipy.integrate`` when it is first
+  called, so importing cmwave loads no scipy module.
 * ``integrate_grid`` forms the attenuation and dispersion integrals for a
-  whole frequency grid from one node set.  Each piece of the support is
-  mapped onto the real line so that its integrand is smooth and decays
-  exponentially at both ends, the density is sampled once per node, and
-  the trapezoid rule (exponentially convergent for such integrands) is
-  refined by halving its step until every value meets the tolerance.
+  whole frequency grid from one node set, and ``integrate_power`` the
+  moments ``int r^k h(r) dr`` (the constant D for k = -1, the mass
+  beta(inf) for k = 0) from the same piece maps.  Each piece of the
+  support is mapped onto the real line so that its integrand is smooth and
+  decays exponentially at both ends, the density is sampled once per
+  node, and the trapezoid rule (exponentially convergent for such
+  integrands) is refined by halving its step until every value meets the
+  tolerance.
 """
 
 from __future__ import annotations
@@ -25,10 +30,9 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = ["GridIntegrals", "QuadratureError", "integrate_density",
-           "integrate_grid", "integrate_measure"]
+           "integrate_grid", "integrate_measure", "integrate_power"]
 
 _EPSREL = 1e-11
 # the relative accuracy contract of both routes: a point whose error
@@ -54,6 +58,14 @@ class QuadratureError(RuntimeError):
     def __init__(self, msg: str, achieved: float):
         super().__init__(f"{msg} (achieved error estimate {achieved:.3e})")
         self.achieved = achieved
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call: only the scalar
+    route needs scipy, and importing it is most of cmwave's start-up."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def _piece(f, a, b):
@@ -265,15 +277,17 @@ def _tanh2_map(c, m):
     return fmap
 
 
-def _pieces(m, w_lo, w_hi):
+def _pieces(m, w_lo, w_hi, low=0.0, high=-1.0):
     """(map, v_lo, v_hi) for every piece of the support of ``m``.
 
     The support splits at its edges and at ``m.breaks``.  Each window
     reaches ``_REACH`` over the slowest exponential rate of its mapped
-    integrand past the rates where the density or the kernels change
-    character (the grid ends and ``m.r_scale``).  A(w) is the slower at 0,
-    where its kernel tends to 1, and D(w) at infinity, where its kernel
-    decays like w/r.
+    integrand past the rates where the density or the weight change
+    character (``w_lo``, ``w_hi`` and ``m.r_scale``).  The rates follow
+    from the measure's tail exponents and the weight's, O(r^low) toward 0
+    and O(r^high) toward infinity.  The defaults are the slower of the two
+    kernels at each end: A(w)'s at 0, where it tends to 1, and D(w)'s at
+    infinity, where it decays like w/r.
     """
     r_lo, r_hi = m.support
     k_lo = m.tail_exponent_low if m.tail_exponent_low is not None else 0.0
@@ -284,23 +298,25 @@ def _pieces(m, w_lo, w_hi):
         pieces.append((_tanh2_map(r_lo, mid), -0.5 * _REACH, 0.5 * _REACH))
         pts[0] = mid
     for a, b in zip(pts, pts[1:]):
+        # the rate toward 0 of h(r) r^low dr in log r
+        rate = 1.0 + k_lo + low
+        if a == 0.0 and rate <= 0.0:
+            raise QuadratureError("integrand not integrable at 0", math.inf)
         if math.isinf(b):
-            if not m.tail_exponent_high > 0.0:
+            tail = m.tail_exponent_high - (high + 1.0)
+            if not tail > 0.0:
                 raise QuadratureError("divergent tail", math.inf)
             hi = (max(math.log(w_hi), math.log(m.r_scale),
                       math.log(a) if a > 0.0 else -math.inf)
-                  + _REACH / min(m.tail_exponent_high, 3.0))
+                  + _REACH / min(tail, 3.0))
             fmap = _exp_map(a)
             if a > 0.0:
                 lo = math.log(a) - _REACH
-            elif k_lo <= -1.0:
-                raise QuadratureError("integrand not integrable at 0",
-                                      math.inf)
             else:
                 lo = (min(math.log(w_lo), math.log(m.r_scale))
-                      - _REACH / min(1.0 + k_lo, 3.0))
+                      - _REACH / min(rate, 3.0))
         else:
-            rate = 1.0 + min(k_lo, 0.0) if a == 0.0 else 1.0
+            rate = min(rate, 1.0) if a == 0.0 else 1.0
             fmap, hi = _logistic_map(a, b), _REACH
             lo = min(0.0, math.log(max(w_lo, a) / (b - a))) - _REACH / rate
         if lo < _LOG_MIN or hi > _LOG_MAX:
@@ -335,24 +351,19 @@ def _kernel_sums(r, g, omega):
     return att, dis
 
 
-def integrate_grid(m, omega) -> GridIntegrals:
-    """A(w) = int h K_A(r/w) dr and D(w) = int h K_D(r/w) dr for a sorted
-    grid of positive frequencies, from one node set.
+def _trapezoid(m, pieces, sums):
+    """Refine one trapezoid lattice over ``pieces`` by step halving.
 
-    The density is evaluated once per node, in one call per level; every
-    level halves the trapezoid step of all pieces and adds only the new
-    nodes.  The value of a level is accepted when it moved from the last
-    one by at most 1e-8 relative, at every frequency and for both
-    integrals; otherwise QuadratureError is raised, never a non-finite
-    value.
+    ``sums(r, g)`` returns a tuple of arrays, each a sum over the nodes r
+    of the weights g = step x Jacobian x h(r) against a kernel.  The
+    density is evaluated once per node, in one call per level; every
+    level halves the step of all pieces and adds only the new nodes.  A
+    level is accepted when every value moved from the last one by at most
+    _RTOL of itself; otherwise, past _MAX_NODES, QuadratureError is
+    raised, as it is at once for a non-finite sample.  Returns the values,
+    the worst halving estimate relative to its value and the node count.
     """
-    omega = np.asarray(omega, dtype=float)
-    r_lo, r_hi = m.support
-    if r_hi <= r_lo:
-        return GridIntegrals(np.zeros_like(omega), np.zeros_like(omega),
-                             0.0, 0)
-    pieces = _pieces(m, float(omega[0]), float(omega[-1]))
-    att = dis = None
+    vals = None
     nodes, level, achieved = 0, 0, math.inf
     while True:
         # level 0 is the lattice _SHIFT + k*_H0; every later level adds the
@@ -373,23 +384,56 @@ def integrate_grid(m, omega) -> GridIntegrals:
         nodes += count
         if not np.all(np.isfinite(g)):
             raise QuadratureError("non-finite integrand", math.inf)
-        new_att, new_dis = _kernel_sums(r, g, omega)
-        if att is None:
-            att, dis = new_att, new_dis
+        new = sums(r, g)
+        if vals is None:
+            vals = new
         else:
-            prev_att, prev_dis = att, dis
-            att = 0.5 * prev_att + new_att
-            dis = 0.5 * prev_dis + new_dis
-            err_att = np.abs(att - prev_att)
-            err_dis = np.abs(dis - prev_dis)
-            achieved = float(max(np.max(err_att), np.max(err_dis)))
-            if (np.all(err_att <= _RTOL * att)
-                    and np.all(err_dis <= _RTOL * dis)):
+            prev = vals
+            vals = tuple(0.5 * p + n for p, n in zip(prev, new))
+            errs = tuple(np.abs(v - p) for v, p in zip(vals, prev))
+            achieved = float(max(np.max(e) for e in errs))
+            if all(np.all(e <= _RTOL * v) for e, v in zip(errs, vals)):
                 break
         level += 1
-    if not (np.all(np.isfinite(att)) and np.all(np.isfinite(dis))):
+    if not all(np.all(np.isfinite(v)) for v in vals):
         raise QuadratureError("non-finite integral", math.inf)
     rel = max(float(np.max(np.divide(e, v, out=np.zeros_like(v),
                                      where=v > 0.0)))
-              for e, v in ((err_att, att), (err_dis, dis)))
+              for e, v in zip(errs, vals))
+    return vals, rel, nodes
+
+
+def integrate_grid(m, omega) -> GridIntegrals:
+    """A(w) = int h K_A(r/w) dr and D(w) = int h K_D(r/w) dr for a sorted
+    grid of positive frequencies, from one node set.
+
+    The value of a level is accepted when it moved from the last one by at
+    most 1e-8 relative, at every frequency and for both integrals;
+    otherwise QuadratureError is raised, never a non-finite value.
+    """
+    omega = np.asarray(omega, dtype=float)
+    r_lo, r_hi = m.support
+    if r_hi <= r_lo:
+        return GridIntegrals(np.zeros_like(omega), np.zeros_like(omega),
+                             0.0, 0)
+    pieces = _pieces(m, float(omega[0]), float(omega[-1]))
+    (att, dis), rel, nodes = _trapezoid(
+        m, pieces, lambda r, g: _kernel_sums(r, g, omega))
     return GridIntegrals(att, dis, rel, nodes)
+
+
+def integrate_power(m, k: float) -> float:
+    """int r^k h(r) dr over the support of ``m``, to 1e-8 relative.
+
+    The same piece maps and step halving as ``integrate_grid``, with the
+    windows set by the weight r^k and centred on ``m.r_scale``.
+    QuadratureError is raised where the integral diverges (an endpoint
+    where r^k h(r) is not integrable), or when it does not converge.
+    """
+    r_lo, r_hi = m.support
+    if r_hi <= r_lo:
+        return 0.0
+    pieces = _pieces(m, m.r_scale, m.r_scale, low=k, high=k)
+    (val,), _, _ = _trapezoid(
+        m, pieces, lambda r, g: (np.atleast_1d(g @ r ** k),))
+    return float(val[0])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import integrate_measure
+from ._quad import integrate_power
 from .measures import SpectralMeasure, spectral_measure
 from .wavenumber import MeasureMedium
 
@@ -132,9 +132,7 @@ def spectral_moment(m: SpectralMeasure, n: int) -> float:
     if not m.all_moments_finite:
         raise ValueError("moment diverges: spectral density has an "
                          "algebraic tail")
-    return integrate_measure(m, lambda r: r ** n,
-                             weight_low_exp=float(n),
-                             weight_high_exp=float(-n))
+    return integrate_power(m, float(n))
 
 
 def beta_moment_series(m: SpectralMeasure, n_terms: int, p) -> complex:

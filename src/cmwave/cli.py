@@ -13,7 +13,8 @@ parser ahead of the command-line flags, so the flags win and a file value
 is checked exactly as a flag is.  ``config`` and ``output`` are not keys.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 usage or configuration error, 3 numerical failure.
+2 usage or configuration error, 3 numerical failure.  A reader that
+closes standard output early changes none of them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -164,8 +166,17 @@ def _output(args):
     if args.output and args.output != "-":
         with open(args.output, "w") as fh:
             yield fh
-    else:
+        return
+    try:
         yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early: the rest of the output is dropped and
+        # the command keeps its exit code.  stdout now points at devnull,
+        # so the flush at shutdown does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _write_table(args, header, rows):

@@ -341,9 +341,17 @@ def hn_spectral_density(model: HavriliakNegami, r):
     h = sqrt(k - Re Z) / (pi sqrt(2) c_inf k); the root is evaluated as
     |Im Z|/sqrt(k + Re Z), exact and cancellation-free, and without the
     square of Im Z that underflows for small b.
+
+    At r = 0 it returns the limit: 0 for b < 1, where h ~ r^alpha, and
+    inf for the fluid b = 1, where h ~ r^(-alpha/2).
     """
     alpha, gamma, b = model.alpha, model.gamma, model.b
     x = model.tau * np.asarray(r, dtype=float)
+    # at b = 1 the formula is 0/0 at r = 0: evaluate it at 1 there and put
+    # the limit in afterwards
+    at_zero = x == 0.0 if b == 1.0 else None
+    if at_zero is not None:
+        x = np.where(at_zero, 1.0, x)
     xa = np.power(x, alpha, where=x > 0, out=np.zeros_like(x))
     ca, sa = math.cos(math.pi * alpha), math.sin(math.pi * alpha)
     # log of g = |1 + x^alpha e^{i pi alpha}|^gamma, and gamma times the
@@ -358,6 +366,8 @@ def hn_spectral_density(model: HavriliakNegami, r):
     k = np.hypot(re_z, im_z)
     h = np.abs(im_z) / np.sqrt(k + re_z) \
         / (math.pi * math.sqrt(2.0) * model.c_inf * k)
+    if at_zero is not None:
+        h = np.where(at_zero, math.inf, h)
     return h if h.shape else float(h)
 
 
@@ -380,7 +390,9 @@ def cd_spectral_density(model: ColeDavidson, r):
     Both pieces vanish at tau*r = 1 and the lower one has an integrable
     inverse-square-root singularity at its left edge.  (At gamma = 1 the
     lower piece reproduces the Standard Linear Solid density with
-    a = 1/(1-b).)
+    a = 1/(1-b).)  At r = 0 it returns the limit: 0 for b < 1, where the
+    support starts above 0, and inf for the fluid b = 1, whose lower piece
+    reaches r = 0 with h ~ r^(-1/2).
     """
     r = np.asarray(r, dtype=float)
     x = model.tau * r
@@ -396,7 +408,8 @@ def cd_spectral_density(model: ColeDavidson, r):
     k1 = np.hypot(re_z, im_z)
 
     x_edge = 1.0 - b ** (1.0 / gamma)
-    lower = (x > x_edge) & (x < 1.0)
+    # at b = 1 the edge is r = 0 itself, where the lower piece is 1/0 = inf
+    lower = (x >= x_edge if b == 1.0 else x > x_edge) & (x < 1.0)
     # b (1 - x)^-gamma - 1 without cancellation as x -> 0 when b = 1
     excess = np.expm1(math.log(b) - gamma * np.log1p(-np.where(lower, x, 0.0)))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -551,11 +564,12 @@ def zero_measure() -> SpectralMeasure:
 def measure_D_constant(m: SpectralMeasure) -> float:
     """D = int h(r)/r dr over the support; inf when the integral diverges.
 
-    For media with G_inf > 0 this equals 1/c0 - 1/c_inf.
+    For media with G_inf > 0 this equals 1/c0 - 1/c_inf.  Formed on the
+    node set of the grid quadrature (``_quad.integrate_power``), to 1e-8
+    relative, or QuadratureError is raised.
     """
     if not m.d_finite:
         return math.inf
     from . import _quad  # deferred: avoid cycle at import time
 
-    return _quad.integrate_measure(m, lambda r: 1.0 / r,
-                                   weight_low_exp=-1.0, weight_high_exp=1.0)
+    return _quad.integrate_power(m, -1.0)

@@ -24,7 +24,10 @@ nodes the target is relaxed tenfold at a time, as in Garrappa's reference
 code.  Every value is checked against the error floor target x sum_k |term|
 and MLToleranceError is raised when that exceeds 1e-8 of the value (or
 when no contour reaches 1e-9).  E_{1,1}(z) = exp(z) and E_{a,b}(0) =
-1/Gamma(b) are returned exactly.
+1/Gamma(b) are returned directly, the latter from ``math.gamma`` (within
+a few ulps of 1/Gamma, as scipy's ``rgamma`` is) and 0.0 past its
+overflow at b > 171.6, where 1/Gamma(b) is below the normal doubles and
+``rgamma`` returns 0.0 too.  The module needs numpy and math only.
 
 Only real z <= 0 is supported: that is all the Cole-Cole relaxation modulus
 and the wavefront computations need.
@@ -36,7 +39,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import rgamma
 
 from .measures import ColeCole
 
@@ -57,6 +59,16 @@ class MLToleranceError(RuntimeError):
         super().__init__(f"Mittag-Leffler tolerance not met "
                          f"(achieved {achieved:.2e} relative)")
         self.achieved = achieved
+
+
+def _rgamma(x: float) -> float:
+    """1/Gamma(x) for x > 0.  Where Gamma(x) overflows, 1/Gamma(x) is x
+    itself to double precision below 1 and below the normal doubles above
+    171.6, returned as 0.0."""
+    try:
+        return 1.0 / math.gamma(x)
+    except OverflowError:
+        return x if x < 1.0 else 0.0
 
 
 def _parabola(p: float, log_target: float):
@@ -127,7 +139,8 @@ def mittag_leffler(alpha: float, beta_param: float, z):
     (0, 1], beta > 0.
 
     Relative accuracy 1e-8 or better; raises MLToleranceError (carrying the
-    achieved estimate) if that cannot be met.  A scalar z gives a float.
+    achieved estimate) if that cannot be met.  z = 0 gives 1/Gamma(beta)
+    without a contour, for every beta.  A scalar z gives a float.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -136,21 +149,24 @@ def mittag_leffler(alpha: float, beta_param: float, z):
     z = np.asarray(z, dtype=float)
     if not (z <= 0.0).all():
         raise ValueError("only z <= 0 is supported")
+    at_zero = z == 0.0
     if alpha == 1.0 and beta_param == 1.0:
         out = np.exp(z)
+    elif at_zero.all():
+        # no contour needed, nor one found for every beta
+        out = np.full(z.shape, _rgamma(beta_param))
     else:
         s_alpha, w, target = _crossover(alpha, beta_param)
         terms = w / (s_alpha - z[..., None])
         out = terms.sum(axis=-1).real
         floor = target * np.abs(terms).sum(axis=-1)
-        at_zero = z == 0.0
         bad = (floor > _TOL * np.abs(out)) & ~at_zero
         if bad.any():
             with np.errstate(divide="ignore"):
                 ratio = np.atleast_1d(floor / np.abs(out))[np.atleast_1d(bad)]
             raise MLToleranceError(float(ratio.max()))
         if at_zero.any():
-            out = np.where(at_zero, rgamma(beta_param), out)
+            out = np.where(at_zero, _rgamma(beta_param), out)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -339,3 +339,112 @@ def test_mittag_leffler_path_leaves_mpmath_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=SRC_ENV)
     assert proc.returncode == 0, proc.stderr
+
+
+def _loaded_scipy(code):
+    """Run ``code`` in a fresh interpreter; it sets ``result``.  Returns
+    that and the scipy modules loaded at the end, in load order."""
+    script = (f"{code}\n"
+              "import json, sys\n"
+              "print(json.dumps([result, [m for m in sys.modules "
+              "if m.split('.')[0] == 'scipy']]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=SRC_ENV)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_cmwave_loads_no_scipy():
+    result, scipy_mods = _loaded_scipy(
+        "import cmwave, cmwave.cli, cmwave.greens, cmwave.verification, "
+        "cmwave.mittag_leffler, cmwave.asymptotics\nresult = None")
+    assert scipy_mods == []
+
+
+# every --model choice with options that each subcommand accepts, and its
+# Green's function record; synthetic-bad has no medium
+_MODEL_ARGV = {
+    "cole-cole": (CC_ARGS, ["--x", "8e-9", "--T", "6.4e-12"]),
+    "sls": (["--model", "sls", "--a", "1.5", "--tau", "1e-13", "--cinf",
+             "5000"], ["--x", "8e-9", "--T", "6.4e-12"]),
+    "havriliak-negami": (["--model", "havriliak-negami", "--b", "0.5",
+                          "--alpha", "0.77", "--gamma", "0.65", "--tau",
+                          "1e-13", "--cinf", "5000"],
+                         ["--x", "8e-9", "--T", "6.4e-12"]),
+    "cole-davidson": (["--model", "cole-davidson", "--b", "0.5", "--gamma",
+                       "0.5", "--tau", "1e-13", "--cinf", "5000"],
+                      ["--x", "8e-9", "--T", "6.4e-12"]),
+    "power-law": (["--model", "power-law", "--acoef", "0.0065",
+                   "--gammaexp", "0.75"], ["--x", "1", "--T", "1"]),
+    "finite-band": (["--model", "finite-band", "--height", "1e-7", "--rlo",
+                     "1e5", "--rhi", "1e6", "--cinf", "5000"],
+                    ["--x", "0.05", "--T", "4e-5"]),
+    "synthetic-bad": (["--model", "synthetic-bad"], ["--x", "1", "--T", "1"]),
+}
+
+# (subcommand flags, exit code) per model: verify needs a relaxation model
+# or synthetic-bad, 3D synthesis a solid, every other command a medium
+_NO_SCIPY_RUNS = {
+    model: [
+        (["curves", *argv, "--range", "1e-3:1e3", "--ppd", "5"],
+         2 if model == "synthetic-bad" else 0),
+        (["spectrum", *argv, "--range", "1e10:1e15", "--ppd", "5"],
+         2 if model == "synthetic-bad" else 0),
+        (["greens", *argv, *record],
+         2 if model == "synthetic-bad" else 0),
+        (["greens", *argv, *record, "--dim", "3"],
+         2 if model in ("synthetic-bad", "power-law") else 0),
+        (["verify", *argv],
+         {"synthetic-bad": 1, "power-law": 2, "finite-band": 2}.get(model, 0)),
+    ]
+    for model, (argv, record) in _MODEL_ARGV.items()
+}
+
+
+def test_every_command_and_model_runs_without_scipy():
+    assert set(_MODEL_ARGV) == set(cmwave.cli._MODELS)
+    runs = [argv for model_runs in _NO_SCIPY_RUNS.values()
+            for argv, _ in model_runs]
+    # the assertion names the first command after which scipy is loaded
+    codes, scipy_mods = _loaded_scipy(
+        "import os, sys, cmwave.cli\n"
+        "result = []\n"
+        f"for argv in {runs!r}:\n"
+        "    result.append(cmwave.cli.main([*argv, '-o', os.devnull]))\n"
+        "    assert 'scipy' not in sys.modules, argv\n")
+    assert codes == [code for model_runs in _NO_SCIPY_RUNS.values()
+                     for _, code in model_runs]
+    assert scipy_mods == []
+
+
+def test_only_the_scalar_route_loads_scipy():
+    # the one-point attenuation of the benchmark's sweep loads
+    # scipy.integrate when it first integrates
+    (before, value), scipy_mods = _loaded_scipy(
+        "import sys, cmwave\n"
+        "cc = cmwave.ColeCole(a=1.5, alpha=0.5, tau=1e-13, g_inf=1.0)\n"
+        "before = 'scipy' in sys.modules\n"
+        "result = [before, cmwave.attenuation(cc, 1e13)]\n")
+    assert not before
+    assert value > 0.0
+    assert "scipy.integrate" in scipy_mods
+
+
+@pytest.mark.parametrize("argv, code, read", [
+    # 1201 rows, more than a pipe holds: the writer meets the closed pipe
+    (["curves", *CC_ARGS, "--range", "1e-3:1e3", "--ppd", "200"], 0, 1),
+    (["verify", "--model", "synthetic-bad"], 1, 0),
+], ids=["curves-head-1", "verify-fails-head-0"])
+def test_closed_stdout_keeps_the_exit_code(argv, code, read):
+    # the reader takes ``read`` lines and closes the pipe, as
+    # `cmwave ... | head -1` does
+    proc = subprocess.Popen([sys.executable, "-m", "cmwave", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=SRC_ENV)
+    lines = [proc.stdout.readline() for _ in range(read)]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == code
+    assert err == ""
+    assert all(line.startswith(b"# cmwave") for line in lines)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -156,6 +157,110 @@ def test_measure_D_constant(cc, finite_band):
     assert d == pytest.approx(1 / cc.c0 - 1 / cc.c_inf, rel=1e-8)
     assert math.isinf(cw.measure_D_constant(cw.make_powerlaw_measure(1.0,
                                                                      0.5)))
+
+
+def _d_exact(model):
+    """1/c0 - 1/c_inf from c_inf/c0 = sqrt(a) (CC, SLS) or 1/sqrt(1 - b)
+    (HN, CD), without the cancellation of the difference."""
+    if isinstance(model, (cw.ColeCole, cw.StandardLinearSolid)):
+        return math.expm1(0.5 * math.log1p(model.a - 1.0)) / model.c_inf
+    return math.expm1(-0.5 * math.log1p(-model.b)) / model.c_inf
+
+
+# the fixtures' shapes and corners of the admissible domain where the
+# scalar route meets its 1e-8 contract
+_D_CORNERS = {
+    "cc": cw.ColeCole(a=1.5, alpha=0.5, tau=TAU, g_inf=1.0),
+    "cc-a-1.0001-alpha-0.1": cw.ColeCole(a=1.0001, alpha=0.1, tau=1e-9,
+                                         g_inf=1.0),
+    "cc-a-1e4-alpha-0.98": cw.ColeCole(a=1e4, alpha=0.98, tau=1e-9,
+                                       g_inf=1.0),
+    "sls": cw.StandardLinearSolid(a=1.5, tau=TAU, g_inf=1.0),
+    "sls-a-1e4": cw.StandardLinearSolid(a=1e4, tau=TAU, g_inf=1.0),
+    "hn": cw.HavriliakNegami(b=0.5, alpha=1 / 1.3, gamma=0.65, tau=TAU,
+                             g0=1.0),
+    "hn-b-0.999-alpha-0.98": cw.HavriliakNegami(b=0.999, alpha=0.98,
+                                                gamma=1.0, tau=TAU, g0=1.0),
+    "cd": cw.ColeDavidson(b=0.5, gamma=0.5, tau=TAU, g0=1.0),
+    "cd-b-0.999-gamma-0.1": cw.ColeDavidson(b=0.999, gamma=0.1, tau=TAU,
+                                            g0=1.0),
+    "cd-gamma-1": cw.ColeDavidson(b=0.5, gamma=1.0, tau=TAU, g0=1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_D_CORNERS))
+def test_D_constant_on_the_grid_matches_the_scalar_route(name):
+    from cmwave._quad import integrate_measure
+
+    model = _D_CORNERS[name]
+    meas = cw.spectral_measure(model)
+    d = cw.measure_D_constant(meas)
+    scalar = integrate_measure(meas, lambda r: 1.0 / r,
+                               weight_low_exp=-1.0, weight_high_exp=1.0)
+    assert abs(d - scalar) <= 1e-8 * scalar
+    assert abs(d - _d_exact(model)) <= 1e-8 * _d_exact(model)
+
+
+@pytest.mark.parametrize("model", [
+    # the scalar route raises here: its sqrt edge piece divides by zero
+    cw.StandardLinearSolid(a=1.0 + 1e-4, tau=TAU, g_inf=1.0),
+    # the scalar route is 7e-7 off here
+    cw.ColeDavidson(b=1e-6, gamma=0.5, tau=TAU, g0=1.0),
+], ids=["sls-a-1.0001", "cd-b-1e-6"])
+def test_D_constant_on_the_grid_where_the_scalar_route_fails(model):
+    d = cw.measure_D_constant(cw.spectral_measure(model))
+    assert abs(d - _d_exact(model)) <= 1e-8 * _d_exact(model)
+
+
+@pytest.mark.parametrize("band", [(1.0, 1.0, 2.0), (3.0, 1e-9, 1e9),
+                                  (0.5, 1e5, 1e5 * (1.0 + 1e-6)),
+                                  (1e-3, 1e12, 1e14)])
+def test_finite_band_D_constant_and_mass_are_exact(band):
+    from cmwave.wavenumber import MeasureMedium, beta_at_infinity
+
+    height, r_lo, r_hi = band
+    meas = cw.make_finiteband_measure(*band)
+    d_exact = height * math.log(r_hi / r_lo)
+    assert abs(cw.measure_D_constant(meas) - d_exact) <= 1e-8 * d_exact
+    mass = beta_at_infinity(MeasureMedium(meas, c_inf=5000.0))
+    assert abs(mass - height * (r_hi - r_lo)) <= 1e-8 * height * (r_hi - r_lo)
+
+
+def test_finite_band_from_zero_has_a_mass_but_no_D():
+    from cmwave.wavenumber import MeasureMedium, beta_at_infinity
+
+    meas = cw.make_finiteband_measure(2.0, 0.0, 1e3)
+    assert math.isinf(cw.measure_D_constant(meas))
+    assert MeasureMedium(meas, c_inf=5000.0).c0 is None
+    assert beta_at_infinity(MeasureMedium(meas, c_inf=5000.0)) == \
+        pytest.approx(2e3, rel=1e-8)
+
+
+@pytest.mark.parametrize("model, dens, limit", [
+    (cw.HavriliakNegami(b=1.0, alpha=0.5, gamma=0.5, tau=TAU, g0=1.0),
+     hn_spectral_density, math.inf),
+    (cw.HavriliakNegami(b=0.5, alpha=0.5, gamma=0.5, tau=TAU, g0=1.0),
+     hn_spectral_density, 0.0),
+    (cw.ColeDavidson(b=1.0, gamma=0.5, tau=TAU, g0=1.0),
+     cd_spectral_density, math.inf),
+    (cw.ColeDavidson(b=0.5, gamma=0.5, tau=TAU, g0=1.0),
+     cd_spectral_density, 0.0),
+], ids=["hn-b-1", "hn-b-0.5", "cd-b-1", "cd-b-0.5"])
+def test_density_at_zero_is_its_limit(model, dens, limit):
+    # inf where h ~ r^k with k < 0 (the fluids, b = 1), else 0
+    low = cw.spectral_measure(model).tail_exponent_low
+    assert limit == (math.inf if low is not None and low < 0.0 else 0.0)
+    r = np.array([0.0, 1e-300, 1.0 / TAU])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = dens(model, r)
+        scalars = [dens(model, float(x)) for x in r]
+    assert h[0] == limit
+    assert list(h) == scalars
+    assert np.all(np.isfinite(h[1:]))
+    # the fluid's density is still rising toward r = 0
+    if limit == math.inf:
+        assert h[1] > 1e50
 
 
 def test_densities_nonnegative_wide_grid(cc, sls, hn, cd):

@@ -47,6 +47,33 @@ def test_value_at_zero():
         1.0 / math.gamma(1.6), rel=1e-14)
 
 
+def test_value_at_zero_is_one_over_gamma_for_every_beta():
+    # E(0) = 1/Gamma(beta) needs no contour, so beta well past the
+    # contours' reach (about 5) is served too; the value comes from
+    # math.gamma, and scipy's rgamma is the value it replaced
+    from scipy.special import rgamma
+
+    betas = np.concatenate([
+        [1e-320, 1e-300, 1e-8, 0.3, 1.0, 1.6, 2.5, 10.0, 100.0, 171.6,
+         31.676000841620002],   # rgamma is 9 ulp off here
+        np.random.default_rng(19).uniform(0.0, 171.6, 300)])
+    for beta in betas:
+        got = mittag_leffler(0.5, beta, 0.0)
+        exact = float(mpmath.rgamma(mpmath.mpf(beta)))
+        ulp = math.ulp(exact)
+        assert abs(got - exact) <= 8 * ulp, beta
+        assert abs(got - float(rgamma(beta))) <= 16 * ulp, beta
+    # past Gamma's overflow 1/Gamma is below the normal doubles: 0.0, as
+    # rgamma gives
+    for beta in (171.7, 180.0, 200.0):
+        assert mittag_leffler(0.5, beta, 0.0) == float(rgamma(beta)) == 0.0
+    z = np.zeros(3)
+    assert np.array_equal(mittag_leffler(0.3, 50.0, z),
+                          np.full(3, mittag_leffler(0.3, 50.0, 0.0)))
+    mixed = mittag_leffler(0.7, 1.6, np.array([0.0, -1.0]))
+    assert mixed[0] == mittag_leffler(0.7, 1.6, 0.0)
+
+
 def test_half_order_erfcx_identity():
     # E_{1/2}(-x) = exp(x^2) erfc(x), scipy's erfcx as independent oracle
     assert mittag_leffler(0.5, 1.0, -1.0) == pytest.approx(

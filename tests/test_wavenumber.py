@@ -260,7 +260,7 @@ def test_jump_oracle_matches_the_densities(model, u):
 
 def test_beta_at_infinity_closed_form():
     # Cole-Davidson with gamma = 1 is the SLS with a = 1/(1 - b)
-    from cmwave._quad import integrate_measure
+    from cmwave._quad import integrate_measure, integrate_power
     from cmwave.wavenumber import beta_at_infinity
 
     cd = cw.ColeDavidson(b=0.5, gamma=1.0, tau=0.1, g0=0.2)
@@ -269,8 +269,10 @@ def test_beta_at_infinity_closed_form():
                                                  rel=1e-15)
     assert beta_at_infinity(cd) == pytest.approx(math.sqrt(5.0) * 2.5,
                                                  rel=1e-15)
-    # the mass of the SLS band, by quadrature of the measure
+    # the mass of the SLS band, by quadrature of the measure on both routes
     mass = integrate_measure(sls.spectral_measure(), lambda r: 1.0)
+    assert mass == pytest.approx(beta_at_infinity(sls), rel=1e-12)
+    mass = integrate_power(sls.spectral_measure(), 0.0)
     assert mass == pytest.approx(beta_at_infinity(sls), rel=1e-12)
     for model in (cw.ColeDavidson(b=0.5, gamma=0.9, tau=0.1, g0=0.2),
                   cw.ColeCole(a=2.0, alpha=0.9, tau=0.1, g_inf=0.1)):
