@@ -355,7 +355,7 @@ def _loaded_scipy(code):
 
 
 def test_importing_cmwave_loads_no_scipy():
-    result, scipy_mods = _loaded_scipy(
+    _, scipy_mods = _loaded_scipy(
         "import cmwave, cmwave.cli, cmwave.greens, cmwave.verification, "
         "cmwave.mittag_leffler, cmwave.asymptotics\nresult = None")
     assert scipy_mods == []
@@ -363,17 +363,17 @@ def test_importing_cmwave_loads_no_scipy():
 
 # every --model choice with options that each subcommand accepts, and its
 # Green's function record; synthetic-bad has no medium
+_RELAXATION_RECORD = ["--x", "8e-9", "--T", "6.4e-12"]
 _MODEL_ARGV = {
-    "cole-cole": (CC_ARGS, ["--x", "8e-9", "--T", "6.4e-12"]),
+    "cole-cole": (CC_ARGS, _RELAXATION_RECORD),
     "sls": (["--model", "sls", "--a", "1.5", "--tau", "1e-13", "--cinf",
-             "5000"], ["--x", "8e-9", "--T", "6.4e-12"]),
+             "5000"], _RELAXATION_RECORD),
     "havriliak-negami": (["--model", "havriliak-negami", "--b", "0.5",
                           "--alpha", "0.77", "--gamma", "0.65", "--tau",
-                          "1e-13", "--cinf", "5000"],
-                         ["--x", "8e-9", "--T", "6.4e-12"]),
+                          "1e-13", "--cinf", "5000"], _RELAXATION_RECORD),
     "cole-davidson": (["--model", "cole-davidson", "--b", "0.5", "--gamma",
                        "0.5", "--tau", "1e-13", "--cinf", "5000"],
-                      ["--x", "8e-9", "--T", "6.4e-12"]),
+                      _RELAXATION_RECORD),
     "power-law": (["--model", "power-law", "--acoef", "0.0065",
                    "--gammaexp", "0.75"], ["--x", "1", "--T", "1"]),
     "finite-band": (["--model", "finite-band", "--height", "1e-7", "--rlo",
@@ -445,6 +445,6 @@ def test_closed_stdout_keeps_the_exit_code(argv, code, read):
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
-    assert proc.wait() == code
+    assert proc.wait(timeout=60) == code
     assert err == ""
     assert all(line.startswith(b"# cmwave") for line in lines)
