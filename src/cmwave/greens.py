@@ -51,28 +51,38 @@ Havriliak-Negami at n = 4096 to 8192.  Every bin lies on the ray
 p = -i omega, so the powers (tau p)^alpha of beta and p^(s_k-1) of the
 fractional peel are one real power times one scalar phase, and the
 Havriliak-Negami factor (1 + x)^-gamma is taken in polar form
-(wavenumber._principal_power).  The spectrum is built in place and each
-peel is subtracted from the bins in place, so no full-length array
-outlives its step.  The real-axis fits are ill-conditioned: a one-ulp
-change in beta at the fit's p = 1e-12 r_scale moves a waveform by up to
-1e-7 of its peak.  So every expression they evaluate keeps its
-np.power arithmetic, and waveforms agree with the plain complex
-evaluation to roundoff (6e-16 of the peak).  Measured on a 2-vCPU host
-against that plain evaluation: the median cmwave greens op of
-perfbench's greens workload takes 0.19 s instead of 0.33 s, and a
-Cole-Cole 3D synthesis over 1M bins peaks at 88 MB of arrays instead of
-136 MB.
+(wavenumber._principal_power).  The bins are filled in blocks of _BLOCK
+bins, one pass per block: it forms the block's p, evaluates the spectrum,
+subtracts the front delta and every peel in place, applies the wavefront
+phase, the taper and the conjugate, and writes the result into the irfft
+input.  So the thirty-odd arithmetic passes run over arrays that stay in
+one core's L2 cache, and no full-length array exists but the irfft input
+and output.  A bin goes through the same operations whichever block it
+falls in, so the waveforms do not depend on the block size, bit for bit.
+The real-axis fits are ill-conditioned: a one-ulp change in beta at the
+fit's p = 1e-12 r_scale moves a waveform by up to 1e-7 of its peak.  So
+every expression they evaluate keeps its np.power arithmetic, in real
+arithmetic, and waveforms agree with the plain complex evaluation to
+roundoff (6e-16 of the peak).  Measured on a 2-vCPU host against one
+full-length pass per step (the same bits): a Cole-Cole synthesis takes
+0.17 s instead of 0.26 s over 0.5M bins (1D) and 0.26 s instead of 0.35 s
+over 1M bins (3D), where it peaks at 34 MB of arrays instead of 92 MB;
+the median cmwave greens op of perfbench's greens workload takes 0.19 s
+instead of 0.22 s at the benchmark's speed scaling (0.19 s instead of
+0.26 s of wall time), and its process peaks at 123 MB instead of 150 MB.
 
 Media with G_inf = 0 have no final-value step; the 1D viscoelastic-fluid
 path is implemented for power-law media (the strongly singular,
 no-wavefront regime), where the small-p expansion of the spectrum is
 available in closed form and its non-integrable powers are peeled term by
-term.  It shares only the frequency grid and the inversion with the core.
+term.  It shares the block fill and the inversion with the core.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -102,6 +112,12 @@ _FRAC_FRACTION = 500.0    # fractional-peel timescale = period / this
 _KINK_SAMPLES = 30.0      # short-peel timescale, in samples
 _ALIAS_LIMIT = 1e-4       # raise when the wrapped tail exceeds this x peak
 _FIT_RATIO = 1e3          # real-axis fit rate / largest synthesis rate
+_TAPER_FRACTION = 0.1     # raised-cosine taper over this top part of the band
+# Bins per pass of the spectrum fill, chosen by timing 4096, 16384 and
+# 65536: a pass keeps six to eight complex temporaries of its block alive
+# (1.5 to 2 MiB by tracemalloc at 16384), so they fit in one core's 2 MiB
+# L2 cache; 65536 spills it and 4096 pays more per-pass overhead.
+_BLOCK = 16384
 
 
 def _frac_poles(theta_f: float):
@@ -160,7 +176,7 @@ class Waveform:
     def to_csv(self, path_or_buf, metadata: dict | None = None) -> None:
         """Write `t_seconds,u` rows with #-prefixed metadata lines."""
         close = False
-        if isinstance(path_or_buf, (str, bytes)):
+        if isinstance(path_or_buf, (str, bytes, os.PathLike)):
             buf = open(path_or_buf, "w")
             close = True
         else:
@@ -172,46 +188,67 @@ class Waveform:
             buf.write(f"# wavefront_time={self.wavefront_time!r}\n")
             buf.write(f"# dc_step_amplitude={self.dc_step_amplitude!r}\n")
             buf.write("t_seconds,u\n")
-            for t, u in zip(self.time_grid, self.samples):
-                buf.write(f"{t:.16e},{u:.16e}\n")
+            buf.write("".join(
+                f"{t:.16e},{u:.16e}\n"
+                for t, u in zip(self.time_grid.tolist(),
+                                self.samples.tolist())))
         finally:
             if close:
                 buf.close()
 
 
-def _validate_sampling(n_samples: int, T: float, t_w: float | None) -> None:
-    if n_samples < 4096 or (n_samples & (n_samples - 1)) != 0:
+def _power_of_two(k) -> bool:
+    """k is a positive integer power of two (a bool is not an integer)."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool) \
+        and k >= 1 and (k & (k - 1)) == 0
+
+
+def _validate_sampling(n_samples: int, T: float, t_w: float | None,
+                       pad_factor: int) -> None:
+    if not (_power_of_two(n_samples) and n_samples >= 4096):
         raise ValueError("n_samples must be a power of two >= 4096")
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    if not _power_of_two(pad_factor):
+        raise ValueError("pad_factor must be a positive power of two")
+    if not 0.0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     if t_w is not None and not T > t_w:
         raise ValueError("T must exceed the wavefront time x/c_inf")
 
 
-def _bins(n_samples: int, T: float, pad_factor: int):
-    """Sample step and the angular frequencies of rfft bins 1..N/2 of the
-    padded period of N = n_samples * pad_factor samples."""
-    dt = T / n_samples
-    n_full = n_samples * pad_factor
-    return dt, np.arange(1, n_full // 2 + 1) * (2.0 * math.pi / (n_full * dt))
+def _bins(n_full: int, dt: float, lo: int, hi: int):
+    """Angular frequencies of rfft bins lo..hi-1 of a period of n_full
+    samples of step dt."""
+    return np.arange(lo, hi) * (2.0 * math.pi / (n_full * dt))
 
 
-def _invert(W, dt):
-    """Synthesize w(s_m) = (1/2 pi) int e^(-i w s) W(w) dw from rfft-layout
-    samples (bins 0..N/2, overwritten); returns a length-2(len(W)-1) real
-    array."""
-    W[-1] = W[-1].real
-    w_time = np.fft.irfft(np.conj(W, out=W), n=2 * (len(W) - 1))
-    w_time /= dt
-    return w_time
-
-
-def _taper(W, frac=0.1):
+def _fill(W, dt, spectrum, delta=0.0, taper=True):
+    """Write bins 1..N/2 of the irfft input W (bin 0 is the caller's) in
+    blocks of _BLOCK bins, one pass per block: its omega and p = -i omega,
+    ``spectrum(p)`` as a new array (the caller's peels already subtracted),
+    the wavefront phase e^(i delta omega), the raised-cosine taper over the
+    top _TAPER_FRACTION of the band and the conjugate that turns the
+    e^(-i omega s) convention into numpy's.  Every bin goes through the
+    same operations as in one full-length pass, so W does not depend on
+    the block size.  irfft reads only the real parts of bins 0 and N/2."""
     n = len(W)
-    j0 = int((1.0 - frac) * (n - 1))
-    j = np.arange(j0, n)
-    W[j0:] *= 0.5 * (1.0 + np.cos(math.pi * (j - j0) / (n - 1 - j0)))
-    return W
+    n_full = 2 * (n - 1)
+    j0 = int((1.0 - _TAPER_FRACTION) * (n - 1))
+    for lo in range(1, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        omega = _bins(n_full, dt, lo, hi)
+        p = -1j * omega
+        out = spectrum(p)
+        if delta > 0.0:
+            # the phase, written over p, which is done with
+            omega *= delta
+            np.cos(omega, out=p.real)
+            np.sin(omega, out=p.imag)
+            out *= p
+        if taper and hi > j0:
+            j = np.arange(max(lo, j0), hi)
+            out[j[0] - lo:] *= 0.5 * (1.0 + np.cos(
+                math.pi * (j - j0) / (n - 1 - j0)))
+        np.conj(out, out=W[lo:hi])
 
 
 def _sing_exponent(measure: SpectralMeasure) -> float | None:
@@ -347,21 +384,21 @@ def _spectrum(model, x, dim, p):
 
 def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
     """The synthesis core shared by :func:`green1d` and :func:`green3d`."""
-    if x <= 0.0:
-        raise ValueError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     measure, c_inf, c0 = model.spectral_measure(), model.c_inf, model.c0
-    if c0 is None:
-        if dim == 3:
-            raise NotImplementedError("3D synthesis requires G_inf > 0")
-        return _green1d_fluid(model, x, n_samples, T, taper)
-    t_w = x / c_inf
-    _validate_sampling(n_samples, T, t_w)
-
     sing = _sing_exponent(measure)
     if pad_factor is None:
         pad_factor = 256 if sing is not None else 32
-    dt, omega = _bins(n_samples, T, pad_factor)
-    t_period = n_samples * pad_factor * dt
+    if c0 is None:
+        if dim == 3:
+            raise NotImplementedError("3D synthesis requires G_inf > 0")
+        return _green1d_fluid(model, x, n_samples, T, taper, pad_factor)
+    t_w = x / c_inf
+    _validate_sampling(n_samples, T, t_w, pad_factor)
+    dt = T / n_samples
+    n_full = n_samples * pad_factor
+    t_period = n_full * dt
     theta = t_period / _THETA_FRACTION
     la = 1.0 / (_KINK_SAMPLES * dt)
     lb = la / 2.0
@@ -386,43 +423,36 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
         front_delta = front / (4.0 * math.pi * x * c_inf ** 2)
         fit_orders = (1, 2)
 
-    # the 1/p (3D) and 1/p^2 content the analytic peels leave is fitted on
-    # the real axis, at one rate well above every scale of the synthesis
-    def residual(p):
-        rem = np.real(_spectrum(model, x, dim, p + 0.0j)) - front_delta
+    def strip(rem, p):
+        """rem, the spectrum at p, less the front delta and every peel."""
+        rem -= front_delta
         for peel in peels:
             peel.subtract(rem, p)
         return rem
 
+    # the 1/p (3D) and 1/p^2 content the analytic peels leave is fitted on
+    # the real axis, in real arithmetic, at one rate well above every scale
+    # of the synthesis
     p_fit = _FIT_RATIO * max(measure.r_scale, la, 1.0 / theta)
     for order in fit_orders:
-        coef = _real_axis_fit(lambda p: p ** order * residual(p), p_fit,
-                              (0.0, -1.0))[0]
+        coef = _real_axis_fit(
+            lambda p: p ** order * strip(
+                np.real(_spectrum(model, x, dim, p + 0.0j)), p),
+            p_fit, (0.0, -1.0))[0]
         peels.append(_exp_peel(coef, theta) if order == 1
                      else _kink_peel(coef, la, lb))
 
-    W = np.empty(len(omega) + 1, dtype=complex)
-    W[0] = dc - front_delta - sum(peel.dc for peel in peels)
-    p = -1j * omega
-    W[1:] = _spectrum(model, x, dim, p)
-    W[1:] -= front_delta
-    for peel in peels:
-        peel.subtract(W[1:], p)
     # wavefront shift: integer part as an index roll, fractional part as a
     # phase on the (smooth, jump-free) remainder spectrum; the peels are
     # added back at the exact arrival time
     k_shift = int(math.floor(t_w / dt))
     delta = t_w - k_shift * dt
-    if delta > 0.0:
-        # the phase e^(i delta omega), written over p, which is done with
-        omega *= delta
-        np.cos(omega, out=p.real)
-        np.sin(omega, out=p.imag)
-        W[1:] *= p
-    if taper:
-        _taper(W)
-    w_time = _invert(W, dt)
-    n_full = len(w_time)
+    W = np.empty(n_full // 2 + 1, dtype=complex)
+    W[0] = dc - front_delta - sum(peel.dc for peel in peels)
+    _fill(W, dt, lambda p: strip(_spectrum(model, x, dim, p), p), delta,
+          taper)
+    w_time = np.fft.irfft(W, n=n_full)
+    w_time /= dt
     alias = float(np.max(np.abs(w_time[-max(4, n_full // 512):])))
 
     m = np.arange(n_samples)
@@ -450,7 +480,7 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
         wavefront_time=t_w,
         dc_step_amplitude=dc_step,
         front_delta_area=front_delta,
-        diagnostics={"pad_factor": pad_factor, "bins": len(omega),
+        diagnostics={"pad_factor": pad_factor, "bins": n_full // 2,
                      "alias_ratio": alias / peak,
                      "alias_limit": _ALIAS_LIMIT},
     )
@@ -462,8 +492,9 @@ def green1d(model, x: float, n_samples: int, T: float, taper: bool = True,
 
     ``taper``: raised-cosine window over the top 10% of the band; disable
     when measuring wavefront discontinuities, which a taper would mask.
-    ``pad_factor``: internal period extension (a power of two); defaults to
-    256 for media with an algebraic relaxation tail and 32 otherwise.
+    ``pad_factor``: internal period extension, a positive int power of two
+    (ValueError otherwise); defaults to 256 for media with an algebraic
+    relaxation tail and 32 otherwise.
     """
     return _synthesize(model, x, n_samples, T, taper, pad_factor, dim=1)
 
@@ -478,7 +509,7 @@ def green3d(model, x: float, n_samples: int, T: float, taper: bool = True,
     return _synthesize(model, x, n_samples, T, taper, pad_factor, dim=3)
 
 
-def _green1d_fluid(model, x, n_samples, T, taper):
+def _green1d_fluid(model, x, n_samples, T, taper, pad_factor):
     """Viscoelastic fluid path (G_inf = 0): no final-value step, no
     wavefront shift when c_inf is infinite.  Implemented for power-law
     media, whose small-p spectrum expansion is exact.
@@ -497,18 +528,13 @@ def _green1d_fluid(model, x, n_samples, T, taper):
         raise NotImplementedError(
             "fluid media other than the power-law (strongly singular) "
             "regime are not supported")
-    _validate_sampling(n_samples, T, None)
+    _validate_sampling(n_samples, T, None, pad_factor)
     g = 1.0 - model.measure.tail_exponent_high      # kappa ~ C p^g
     c_b = wave_number(model, 1.0 + 0.0j).real       # C = kappa(1)
 
-    pad_factor = 32
-    dt, omega = _bins(n_samples, T, pad_factor)
-    p = -1j * omega
+    dt = T / n_samples
+    n_full = n_samples * pad_factor
     theta = T / 64.0
-
-    v_spec = _principal_power(p, g - 2.0)
-    v_spec *= np.exp(-c_b * x * _principal_power(p, g))
-    v_spec *= 0.5 * c_b
 
     # exp(-C x p^g) = sum_k (-C x)^k p^(k g)/k! gives the singular powers
     work = []
@@ -517,22 +543,34 @@ def _green1d_fluid(model, x, n_samples, T, taper):
         coef = 0.5 * c_b * (-c_b * x) ** k / math.factorial(k)
         work.append((coef, (k + 1) * g - 2.0))
         k += 1
+    peels = []      # in peeling order: the bins and the add-back sum them so
+    while work:
+        coef, s_exp = work.pop()
+        peels.append((coef, s_exp))
+        if s_exp + 1.0 < -0.05:
+            work.append((coef * theta, s_exp + 1.0))
+
+    def spectrum(p):
+        v_spec = _principal_power(p, g - 2.0)
+        v_spec *= np.exp(-c_b * x * _principal_power(p, g))
+        v_spec *= 0.5 * c_b
+        for coef, s_exp in peels:
+            v_spec -= coef * _principal_power(p, s_exp) / (1.0 + theta * p)
+        return v_spec
+
+    W = np.empty(n_full // 2 + 1, dtype=complex)
+    W[0] = 0.0
+    _fill(W, dt, spectrum, taper=taper)
+    w_time = np.fft.irfft(W, n=n_full)
+    w_time /= dt
 
     m = np.arange(n_samples)
     t = m * dt
     addback = np.zeros(n_samples)
-    while work:
-        coef, s_exp = work.pop()
-        v_spec -= coef * _principal_power(p, s_exp) / (1.0 + theta * p)
+    for coef, s_exp in peels:
         e = mittag_leffler(1.0, 1.0 - s_exp, -t / theta)
         addback += (coef / theta) * t ** (-s_exp) * e
-        if s_exp + 1.0 < -0.05:
-            work.append((coef * theta, s_exp + 1.0))
-
-    W = np.concatenate(([0.0 + 0.0j], v_spec))
-    if taper:
-        _taper(W)
-    u = _invert(W, dt)[:n_samples] + addback
+    u = w_time[:n_samples] + addback
 
     return Waveform(
         time_grid=t,
@@ -540,7 +578,7 @@ def _green1d_fluid(model, x, n_samples, T, taper):
         x=x,
         wavefront_time=None,
         dc_step_amplitude=0.0,
-        diagnostics={"pad_factor": pad_factor, "bins": len(omega)},
+        diagnostics={"pad_factor": pad_factor, "bins": n_full // 2},
     )
 
 

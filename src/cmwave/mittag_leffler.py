@@ -85,7 +85,10 @@ def _parabola(p: float, log_target: float):
             / abs(7.0 - math.sqrt(1.0 + 12.0 * big_a))
         if p == 0.0:
             break
-        fbar = (math.sqrt(phibar) / sq_mu) ** -p
+        try:
+            fbar = (math.sqrt(phibar) / sq_mu) ** -p
+        except OverflowError:   # a base below 1 to a large power: too big
+            fbar = math.inf
         if 1.0 < fbar < 10.0:
             break
         phibar = (5.0 ** (-1.0 / p) * sq_mu) ** 2

@@ -38,6 +38,24 @@ def test_input_validation():
         green1d(medium, x=1.0, n_samples=1000, T=1.0)
     with pytest.raises(ValueError):
         green1d(medium, x=1.0, n_samples=4096, T=1e-5)  # T < x/c
+    # n_samples, pad_factor: int powers of two; x, T: positive and finite;
+    # on every path
+    fluid = MeasureMedium(cw.make_powerlaw_measure(0.0065, 0.75),
+                          c_inf=math.inf)
+    for synth, model in ((green1d, medium), (green3d, medium),
+                         (green1d, fluid)):
+        for kw in ({"n_samples": 4096.0}, {"T": math.nan}, {"T": math.inf},
+                   {"x": math.nan}, {"x": math.inf}):
+            args = {"x": 1.0, "n_samples": 4096, "T": 1.0, **kw}
+            with pytest.raises(ValueError):
+                synth(model, **args)
+    for bad in (0, -2, 2.5, 3, 48, True, 32.0, "32"):
+        with pytest.raises(ValueError):
+            green1d(medium, x=1.0, n_samples=4096, T=8e-4, pad_factor=bad)
+        with pytest.raises(ValueError):
+            green3d(medium, x=1.0, n_samples=4096, T=8e-4, pad_factor=bad)
+        with pytest.raises(ValueError):
+            green1d(fluid, x=1.0, n_samples=4096, T=1.0, pad_factor=bad)
 
 
 def test_elastic_step():
@@ -198,6 +216,15 @@ def test_waveform_csv_roundtrip(tmp_path):
     t0, u0 = text[header_idx + 1].split(",")
     assert float(t0) == 0.0
     assert float(u0) == pytest.approx(w.samples[0])
+    # the rows as the numpy scalars format themselves, one at a time
+    assert text[header_idx + 1:] == [
+        f"{t:.16e},{u:.16e}" for t, u in zip(w.time_grid, w.samples)]
+    # a path, str or os.PathLike, is opened and closed: the same text
+    path = tmp_path / "w.csv"
+    w.to_csv(path, metadata={"model": "elastic"})
+    w.to_csv(str(path) + ".2", metadata={"model": "elastic"})
+    assert path.read_text() == (tmp_path / "w.csv.2").read_text() \
+        == buf.getvalue()
 
 
 @pytest.mark.parametrize("synth", [green1d, green3d])
@@ -292,7 +319,7 @@ def test_bins_match_the_complex_arithmetic_spectrum(monkeypatch, family,
                      if name == "_frac_peel")[0]
         assert len(terms) == (2 if family == "cc" else 1)
 
-    p = -1j * greens._bins(4096, T, 256)[1]
+    p = -1j * greens._bins(4096 * 256, T / 4096, 1, 4096 * 128 + 1)
     for name, args, peel in built:
         out = np.zeros_like(p)
         peel.subtract(out, p)
@@ -331,3 +358,52 @@ def test_waveform_diagnostics():
     assert Waveform(time_grid=w.time_grid, samples=w.samples, x=x,
                     wavefront_time=w.wavefront_time,
                     dc_step_amplitude=0.0).diagnostics == {}
+
+
+def _block_cases():
+    x = 1e-3
+    tau = x / 44800.0
+    cc = cw.ColeCole(a=1.5, alpha=0.4, tau=tau, g_inf=G_INF, rho=RHO)
+    hn = cw.HavriliakNegami(b=0.5, alpha=1 / 1.3, gamma=0.65, tau=tau,
+                            g0=RHO * C_INF ** 2, rho=RHO)
+    sls = cw.StandardLinearSolid(a=1.5, tau=2e-6, g_inf=G_INF, rho=RHO)
+    fluid = MeasureMedium(cw.make_powerlaw_measure(0.0065, 0.75),
+                          c_inf=math.inf)
+    return [(green1d, cc, x, 4 * x / C_INF), (green3d, hn, x, 4 * x / C_INF),
+            (green1d, sls, 0.05, 0.2 / C_INF),
+            (green3d, sls, 0.05, 0.2 / C_INF), (green1d, fluid, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("case", range(5),
+                         ids=["cc-1d", "hn-3d", "sls-1d", "sls-3d", "fluid"])
+def test_waveforms_do_not_depend_on_the_block_size(monkeypatch, case):
+    # each bin goes through the same operations whichever block it falls
+    # in: blocks that divide no bin count, a prime one, and one block for
+    # every bin (a single full-length pass) give the same bits
+    import cmwave.greens as greens
+
+    synth, model, x, T = _block_cases()[case]
+    ref = synth(model, x=x, n_samples=4096, T=T)
+    for block in (3000, 1531, 1 << 22):
+        monkeypatch.setattr(greens, "_BLOCK", block)
+        w = synth(model, x=x, n_samples=4096, T=T)
+        assert np.array_equal(w.samples, ref.samples), block
+        assert w.diagnostics == ref.diagnostics
+
+
+def test_synthesis_array_peak():
+    # a 1M-bin Cole-Cole 3D synthesis holds the irfft input and output
+    # (16 MB each) plus one block's temporaries, not full-length ones
+    import tracemalloc
+
+    x = 1e-3
+    cc = cw.ColeCole(a=1.5, alpha=0.4, tau=x / 44800.0, g_inf=G_INF,
+                     rho=RHO)
+    tracemalloc.start()
+    try:
+        w = green3d(cc, x=x, n_samples=8192, T=4 * x / C_INF)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.diagnostics["bins"] == 8192 * 256 // 2
+    assert peak <= 48e6

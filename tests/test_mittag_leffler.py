@@ -9,6 +9,7 @@ from scipy.special import erfcx
 
 import cmwave as cw
 from cmwave.mittag_leffler import (
+    MLToleranceError,
     cole_cole_relaxation_modulus,
     mittag_leffler,
     ml_e1_neg,
@@ -90,6 +91,17 @@ def test_parameter_validation():
         mittag_leffler(0.5, -1.0, -1.0)
     with pytest.raises(ValueError):
         mittag_leffler(0.5, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("beta", [120.0, 150.0])
+def test_large_beta_raises_the_tolerance_error(beta):
+    # no contour meets the tolerance past beta ~ 5; here the contour
+    # search's power of a base below 1 overflowed the float range, which
+    # surfaced as a bare OverflowError
+    with pytest.raises(MLToleranceError):
+        mittag_leffler(0.5, beta, -1.0)
+    with pytest.raises(MLToleranceError):
+        mittag_leffler(1.0, beta, np.array([-1.0, -2.0]))
 
 
 @pytest.mark.parametrize("beta", [1.0, 1.5, 2.5])
