@@ -22,7 +22,8 @@ and its exact time-domain add-back:
                                            phi_k(s/theta_i) H(s),
    phi_k(y) = y^(1-s_k) E_{1,2-s_k}(-y), matching the s^(-sig) relaxation
    tail of media whose spectral density reaches r = 0 (Cole-Cole,
-   Havriliak-Negami), with s_k = sig and, while it stays below 1, 2 sig.
+   Havriliak-Negami), with s_k = sig and, while it stays below 1, 2 sig
+   (the power-law fluid below: each negative power of its spectrum).
    One peel carries every term over pole sums formed once.  Three poles
    make the subtracted term flat to order s^(3-s_k) at the front (the
    partial-fraction sums kill the p^(s_k-2) and p^(s_k-3) coefficients),
@@ -71,11 +72,17 @@ the median cmwave greens op of perfbench's greens workload takes 0.19 s
 instead of 0.22 s at the benchmark's speed scaling (0.19 s instead of
 0.26 s of wall time), and its process peaks at 123 MB instead of 150 MB.
 
-Media with G_inf = 0 have no final-value step; the 1D viscoelastic-fluid
-path is implemented for power-law media (the strongly singular,
-no-wavefront regime), where the small-p expansion of the spectrum is
-available in closed form and its non-integrable powers are peeled term by
-term.  It shares the block fill and the inversion with the core.
+Media with G_inf = 0 have no final-value step.  Of those, the 1D
+power-law fluid (the strongly singular regime, kappa = C p^g with no
+wavefront) is one more peel set of the same core: its spectrum
+(C/2) p^(g-2) exp(-C x p^g) has an exact small-p expansion, the fractional
+peel carries each of its negative powers, and bin 0 is the coefficient of
+its p^0 term, if it has one.  The pole sums are 1 + O(p^2), so no further
+power is induced.  Spectrum, fill, inversion, add-back and alias gate are
+the core's; where C x is so small that exp(-C x p^g) has not decayed by
+the Nyquist rate, the start at t = 0 rings over the period and the gate
+raises SpectralDecayError.  Other fluids (Havriliak-Negami and
+Cole-Davidson with b = 1) and 3D fluids raise NotImplementedError.
 """
 
 from __future__ import annotations
@@ -89,7 +96,7 @@ from typing import Callable
 import numpy as np
 
 from .measures import SpectralMeasure
-from .mittag_leffler import mittag_leffler, ml_e1_neg
+from .mittag_leffler import ml_e1_neg
 from .wavenumber import (
     MeasureMedium,
     _principal_power,
@@ -156,9 +163,8 @@ class Waveform:
     mass), represented on the grid as a single-sample spike.
     ``diagnostics`` records how the synthesis got there: ``pad_factor``,
     the number of spectrum ``bins`` evaluated (n_samples * pad_factor / 2)
-    and, for media with a wavefront, ``alias_ratio``, the wrapped tail over
-    the peak, against ``alias_limit``, above which the synthesis raises
-    SpectralDecayError.
+    and ``alias_ratio``, the wrapped tail over the peak, against
+    ``alias_limit``, above which the synthesis raises SpectralDecayError.
     """
 
     time_grid: np.ndarray
@@ -203,7 +209,7 @@ def _power_of_two(k) -> bool:
         and k >= 1 and (k & (k - 1)) == 0
 
 
-def _validate_sampling(n_samples: int, T: float, t_w: float | None,
+def _validate_sampling(n_samples: int, T: float, t_w: float,
                        pad_factor: int) -> None:
     if not (_power_of_two(n_samples) and n_samples >= 4096):
         raise ValueError("n_samples must be a power of two >= 4096")
@@ -211,7 +217,7 @@ def _validate_sampling(n_samples: int, T: float, t_w: float | None,
         raise ValueError("pad_factor must be a positive power of two")
     if not 0.0 < T < math.inf:
         raise ValueError("T must be positive and finite")
-    if t_w is not None and not T > t_w:
+    if not T > t_w:
         raise ValueError("T must exceed the wavefront time x/c_inf")
 
 
@@ -357,6 +363,32 @@ def _frac_peel(terms, thetas, weights):
     return _Peel(subtract, 0.0, time)
 
 
+def _fluid_peels(model, x, T):
+    """The peels of the power-law fluid's 1D spectrum and its bin 0.
+
+    kappa = C p^g, so the spectrum (C/2) p^(g-2) exp(-C x p^g) expands
+    exactly as sum_k c_k p^(s_k), c_k = (C/2) (-C x)^k/k!,
+    s_k = (k+1) g - 2.  One fractional peel carries every s_k < 0 as the
+    term e_k = s_k + 1: its pole sums are 1 + O(p^2), so it induces no
+    p^(s_k+1) term and the remainder tends to the coefficient of an
+    s_k = 0 term, if there is one, at p = 0.
+    """
+    g = 1.0 - model.measure.tail_exponent_high
+    c_b = wave_number(model, 1.0 + 0.0j).real
+    terms, dc = [], 0.0
+    k = 0
+    while (s_k := (k + 1) * g - 2.0) < 1e-9:
+        coef = 0.5 * c_b * (-c_b * x) ** k / math.factorial(k)
+        # an exponent within rounding of 0 (g = 2/(k+1) up to the ulps of
+        # 1 - (1 - g)) is the p^0 term
+        if s_k > -1e-9:
+            dc = coef
+        else:
+            terms.append((s_k + 1.0, coef))
+        k += 1
+    return [_frac_peel(terms, *_frac_poles(T / 64.0))], dc
+
+
 def _lam_decay(model, x, p):
     """lam(p) exp(-beta(p) x) and lam(p) = 1/c_inf + beta(p)/p from one
     beta, as new arrays."""
@@ -393,8 +425,12 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
     if c0 is None:
         if dim == 3:
             raise NotImplementedError("3D synthesis requires G_inf > 0")
-        return _green1d_fluid(model, x, n_samples, T, taper, pad_factor)
-    t_w = x / c_inf
+        if not (isinstance(model, MeasureMedium)
+                and measure.label == "power-law" and math.isinf(c_inf)):
+            raise NotImplementedError(
+                "fluid media other than the power-law (strongly singular) "
+                "regime are not supported")
+    t_w = x / c_inf     # 0 for the fluid, which has no wavefront
     _validate_sampling(n_samples, T, t_w, pad_factor)
     dt = T / n_samples
     n_full = n_samples * pad_factor
@@ -404,7 +440,12 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
     lb = la / 2.0
 
     front = math.exp(-beta_at_infinity(model) * x)
-    if dim == 1:
+    if c0 is None:
+        dc_step = 0.0
+        peels, dc = _fluid_peels(model, x, T)
+        front_delta = 0.0
+        fit_orders = ()
+    elif dim == 1:
         dc_step = 0.5 / c0
         frac_terms, dc = _low_freq_fit(
             lambda p: 0.5 * _lam_decay(model, x, p + 0.0j)[0].real
@@ -477,7 +518,7 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
         time_grid=m * dt,
         samples=u,
         x=x,
-        wavefront_time=t_w,
+        wavefront_time=None if c0 is None else t_w,
         dc_step_amplitude=dc_step,
         front_delta_area=front_delta,
         diagnostics={"pad_factor": pad_factor, "bins": n_full // 2,
@@ -507,79 +548,6 @@ def green3d(model, x: float, n_samples: int, T: float, taper: bool = True,
     Media with finite spectral mass carry a genuine delta at the front; it
     is added as a single-sample spike of the analytically known area."""
     return _synthesize(model, x, n_samples, T, taper, pad_factor, dim=3)
-
-
-def _green1d_fluid(model, x, n_samples, T, taper, pad_factor):
-    """Viscoelastic fluid path (G_inf = 0): no final-value step, no
-    wavefront shift when c_inf is infinite.  Implemented for power-law
-    media, whose small-p spectrum expansion is exact.
-
-    The spectrum behaves like sum_k c_k p^(s_k) with s_k = (k+1)g - 2 in
-    (-2, 0) near p = 0 (the creep terms).  Each such power is peeled as a
-    damped term c p^s/(1 + theta p), whose inverse
-    (c/theta) t^(-s) E_{1,1-s}(-t/theta) vanishes at t = 0 and matches the
-    t^(-s-1) growth at late times; the induced c*theta p^(s+1) pieces are
-    peeled recursively until the leftover exponent is positive, so the DC
-    bin is zero and no singular time function is ever sampled.
-    """
-    if not (isinstance(model, MeasureMedium)
-            and model.measure.label == "power-law"
-            and math.isinf(model.c_inf)):
-        raise NotImplementedError(
-            "fluid media other than the power-law (strongly singular) "
-            "regime are not supported")
-    _validate_sampling(n_samples, T, None, pad_factor)
-    g = 1.0 - model.measure.tail_exponent_high      # kappa ~ C p^g
-    c_b = wave_number(model, 1.0 + 0.0j).real       # C = kappa(1)
-
-    dt = T / n_samples
-    n_full = n_samples * pad_factor
-    theta = T / 64.0
-
-    # exp(-C x p^g) = sum_k (-C x)^k p^(k g)/k! gives the singular powers
-    work = []
-    k = 0
-    while (k + 1) * g - 2.0 < -0.05:
-        coef = 0.5 * c_b * (-c_b * x) ** k / math.factorial(k)
-        work.append((coef, (k + 1) * g - 2.0))
-        k += 1
-    peels = []      # in peeling order: the bins and the add-back sum them so
-    while work:
-        coef, s_exp = work.pop()
-        peels.append((coef, s_exp))
-        if s_exp + 1.0 < -0.05:
-            work.append((coef * theta, s_exp + 1.0))
-
-    def spectrum(p):
-        v_spec = _principal_power(p, g - 2.0)
-        v_spec *= np.exp(-c_b * x * _principal_power(p, g))
-        v_spec *= 0.5 * c_b
-        for coef, s_exp in peels:
-            v_spec -= coef * _principal_power(p, s_exp) / (1.0 + theta * p)
-        return v_spec
-
-    W = np.empty(n_full // 2 + 1, dtype=complex)
-    W[0] = 0.0
-    _fill(W, dt, spectrum, taper=taper)
-    w_time = np.fft.irfft(W, n=n_full)
-    w_time /= dt
-
-    m = np.arange(n_samples)
-    t = m * dt
-    addback = np.zeros(n_samples)
-    for coef, s_exp in peels:
-        e = mittag_leffler(1.0, 1.0 - s_exp, -t / theta)
-        addback += (coef / theta) * t ** (-s_exp) * e
-    u = w_time[:n_samples] + addback
-
-    return Waveform(
-        time_grid=t,
-        samples=u,
-        x=x,
-        wavefront_time=None,
-        dc_step_amplitude=0.0,
-        diagnostics={"pad_factor": pad_factor, "bins": n_full // 2},
-    )
 
 
 def causality_metric(w: Waveform) -> float:

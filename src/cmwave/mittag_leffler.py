@@ -186,8 +186,10 @@ def cole_cole_relaxation_modulus(model: ColeCole, t: float) -> float:
 
 
 def ml_e1_neg(beta_param: float, y):
-    """Vectorised E_{1,beta}(-y) for y >= 0 and 1 < beta <= 2, the
-    analytic wavefront-tail terms of the Green's synthesis."""
-    if not 1.0 < beta_param <= 2.0:
-        raise ValueError("ml_e1_neg supports 1 < beta <= 2")
+    """Vectorised E_{1,beta}(-y) for y >= 0 and 1 < beta < 3, the
+    analytic fractional-peel terms of the Green's synthesis (beta up to 2
+    for the relaxation tails of solids, up to 3 for the small-p powers of
+    the power-law fluid)."""
+    if not 1.0 < beta_param < 3.0:
+        raise ValueError("ml_e1_neg supports 1 < beta < 3")
     return mittag_leffler(1.0, beta_param, -np.asarray(y, dtype=float))

@@ -268,11 +268,44 @@ def test_synthetic_bad_outside_verify_exits_2(capsys):
      "--dim", "3"],
     ["--model", "finite-band", "--height", "1", "--rlo", "0", "--rhi", "2",
      "--cinf", "5000"],
+    # fluids (b = 1) other than the power-law
+    ["--model", "havriliak-negami", "--b", "1", "--alpha", "0.77", "--gamma",
+     "0.65", "--tau", "1e-13", "--cinf", "5000"],
+    ["--model", "cole-davidson", "--b", "1", "--gamma", "0.5", "--tau",
+     "1e-13", "--cinf", "5000"],
 ])
 def test_unsupported_greens_medium_exits_2(argv, capsys):
     rc = main(["greens", *argv, "--x", "1", "--T", "1"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_power_law_greens_example_is_positive_and_matches_talbot(tmp_path):
+    # the README's fluid example: v1 = F * mu_x / 2 >= 0 for a complete
+    # Bernstein beta, so no sample may dip below the alias limit; a Talbot
+    # inversion of (C/2) p^(g-2) e^(-C x p^g), kappa = C p^g, checks the
+    # values away from t = 0, where Talbot itself is unreliable
+    import math
+
+    import mpmath
+
+    a_coef, g, x = 0.0065, 0.75, 1.0
+    out = tmp_path / "pl.csv"
+    assert main(["greens", "--model", "power-law", "--acoef", str(a_coef),
+                 "--gammaexp", str(g), "--x", str(x), "--T", "1",
+                 "-o", str(out)]) == 0
+    _, rows = read_table(out)
+    t, u = rows[:, 0], rows[:, 1]
+    peak = np.max(np.abs(u))
+    assert u.min() >= -1e-4 * peak
+    c = a_coef * math.pi * g / math.sin(math.pi * g)
+    with mpmath.workdps(30):
+        for k in (205, 1024, 2048, 3072, 4095):     # t from 0.05 T on
+            ref = float(mpmath.invertlaplace(
+                lambda p: 0.5 * c * p ** (g - 2)
+                * mpmath.exp(-c * x * p ** g),
+                t[k], method="talbot"))
+            assert abs(u[k] - ref) <= 1e-5 * peak, t[k]
 
 
 def test_nonfinite_cinf_exits_2(capsys):

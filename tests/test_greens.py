@@ -150,6 +150,45 @@ def test_strongly_singular_no_gap():
         causality_metric(w)
 
 
+def _half_order_reference(a_coef, x, t):
+    """The power-law fluid with gamma = 1/2 in closed form: kappa = C p^(1/2),
+    C = a pi/2, so v1 <-> (C/2) p^(-3/2) e^(-k p^(1/2)) with k = C x is
+    (C/2) [2 sqrt(t/pi) e^(-k^2/4t) - k erfc(k/(2 sqrt t))], 0 at t = 0."""
+    c = a_coef * math.pi / 2.0
+    k = c * x
+    return np.array([0.5 * c * (2.0 * math.sqrt(s / math.pi)
+                                * math.exp(-k * k / (4.0 * s))
+                                - k * math.erfc(k / (2.0 * math.sqrt(s))))
+                     if s > 0.0 else 0.0 for s in t])
+
+
+@pytest.mark.parametrize("a_coef, x", [(0.05, 1.0), (1.0, 0.1)])
+def test_half_order_fluid_matches_the_closed_form(a_coef, x):
+    # every sample, the p^0 term of the small-p expansion (bin 0) included
+    fluid = MeasureMedium(cw.make_powerlaw_measure(a_coef, 0.5),
+                          c_inf=math.inf)
+    w = green1d(fluid, x=x, n_samples=4096, T=1.0)
+    ref = _half_order_reference(a_coef, x, w.time_grid)
+    assert np.max(np.abs(w.samples - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("model", [
+    cw.HavriliakNegami(b=1.0, alpha=0.77, gamma=0.65, tau=1e-13,
+                       g0=RHO * C_INF ** 2, rho=RHO),
+    cw.ColeDavidson(b=1.0, gamma=0.5, tau=1e-13, g0=RHO * C_INF ** 2,
+                    rho=RHO),
+], ids=["hn", "cd"])
+def test_fluids_other_than_the_power_law_are_not_implemented(model):
+    # the medium is refused before the sampling is looked at
+    for T in (1e-11, math.nan):     # below x/c_inf, and no number
+        with pytest.raises(NotImplementedError,
+                           match="fluid media other than the power-law"):
+            green1d(model, x=1e-6, n_samples=4096, T=T)
+        with pytest.raises(NotImplementedError,
+                           match="3D synthesis requires G_inf > 0"):
+            green3d(model, x=1e-6, n_samples=4096, T=T)
+
+
 def test_green3d_causality_and_delta():
     sls = cw.StandardLinearSolid(a=1.5, tau=2e-6, g_inf=G_INF, rho=RHO)
     x = 0.05
@@ -352,7 +391,10 @@ def test_waveform_diagnostics():
     fluid = MeasureMedium(cw.make_powerlaw_measure(0.0065, 0.75),
                           c_inf=math.inf)
     wf = green1d(fluid, x=1.0, n_samples=4096, T=1.0)
-    assert wf.diagnostics == {"pad_factor": 32, "bins": 4096 * 32 // 2}
+    assert wf.diagnostics["pad_factor"] == 32
+    assert wf.diagnostics["bins"] == 4096 * 32 // 2
+    assert wf.diagnostics["alias_limit"] == 1e-4
+    assert 0.0 < wf.diagnostics["alias_ratio"] < 1e-4
 
     # a waveform built by hand carries an empty record
     assert Waveform(time_grid=w.time_grid, samples=w.samples, x=x,

@@ -173,7 +173,9 @@ def test_relaxation_modulus_is_licm(cc):
 
 
 def test_ml_e1_neg_windows():
-    for beta in (1.25, 1.5, 2.0):
+    # beta up to 2 for the relaxation tails, up to 3 for the power-law
+    # fluid's small-p powers
+    for beta in (1.25, 1.5, 2.0, 2.5, 2.9):
         ys = np.array([0.0, 1.0, 4.0, 12.0, 29.0, 30.0, 100.0])
         got = ml_e1_neg(beta, ys)
         ref = np.array([series_reference(1.0, beta, -y) if y <= 40 else None
@@ -181,8 +183,9 @@ def test_ml_e1_neg_windows():
         for g, r in zip(got, ref):
             if r is not None:
                 assert g == pytest.approx(r, rel=5e-9)
-    with pytest.raises(ValueError):
-        ml_e1_neg(2.5, np.array([1.0]))
+    for beta in (1.0, 3.0):
+        with pytest.raises(ValueError):
+            ml_e1_neg(beta, np.array([1.0]))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
