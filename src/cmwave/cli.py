@@ -5,7 +5,10 @@ Frequencies on the command line are angular and expressed in MHz in the
 sense of 1e6 rad/s (an angular frequency of 1 MHz here means
 omega = 1e6 rad/s); everything internal is SI (rad/s).  Output is
 deterministic: data rows never contain timestamps, and the metadata header
-carries a hash of the resolved configuration instead.
+carries a hash of the resolved configuration instead.  The one exception is
+the ``elapsed_s`` that ``verify`` records for each check, in seconds.
+``greens`` writes the synthesis record (``Waveform.diagnostics``) as
+``# diag_<key>=<value>`` header lines.
 
 Options may also come from a file given by ``--config``: each ``key=value``
 line is the flag ``--key=value`` of the subcommand, parsed by the same
@@ -26,6 +29,7 @@ import json
 import math
 import os
 import sys
+import time
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -215,6 +219,7 @@ def cmd_greens(args) -> int:
             "model": json.dumps({"name": args.model, **_model_params(args)},
                                 sort_keys=True),
             "dim": args.dim,
+            **{f"diag_{key}": val for key, val in wave.diagnostics.items()},
         })
     return 0
 
@@ -225,14 +230,20 @@ def _model_params(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    checks = []
+    checks = []     # (report, seconds it took)
+
+    def run(check, *check_args, **check_kwargs):
+        start = time.perf_counter()
+        report = check(*check_args, **check_kwargs)
+        checks.append((report, time.perf_counter() - start))
+
     if args.model == "synthetic-bad":
         # the rational wave-number counterexample kappa = p/(1+p)
         hp = halfplane_grid(1.0)
         ax = positive_axis_grid(1.0)
-        checks.append(cbf_check(lambda p: (p / (1 + p)) ** 2 / p, hp, ax,
-                                name="admissibility kappa^2/p"))
-        checks.append(cbf_check(lambda p: p / (1 + p), hp, ax, name="kappa"))
+        run(cbf_check, lambda p: (p / (1 + p)) ** 2 / p, hp, ax,
+            name="admissibility kappa^2/p")
+        run(cbf_check, lambda p: p / (1 + p), hp, ax, name="kappa")
     else:
         model = _build_model(args)
         if isinstance(model, MeasureMedium):
@@ -242,47 +253,53 @@ def cmd_verify(args) -> int:
         r_scale = 1.0 / model.tau
         hp = halfplane_grid(r_scale)
         ax = positive_axis_grid(r_scale)
-        checks.append(cm_check_relaxation(model, hp, ax))
-        checks.append(cbf_check(lambda p: wave_number(model, p), hp, ax,
-                                name="kappa"))
-        checks.append(cbf_check(lambda p: complex_modulus(model, p), hp, ax,
-                                name="Q"))
-        checks.append(cbf_check(lambda p: wave_number(model, p) ** 2 / p,
-                                hp, ax, name="admissibility kappa^2/p"))
-        checks.append(minimum_phase_check(model))
+        run(cm_check_relaxation, model, hp, ax)
+        run(cbf_check, lambda p: wave_number(model, p), hp, ax, name="kappa")
+        run(cbf_check, lambda p: complex_modulus(model, p), hp, ax, name="Q")
+        run(cbf_check, lambda p: wave_number(model, p) ** 2 / p, hp, ax,
+            name="admissibility kappa^2/p")
+        run(minimum_phase_check, model)
         w0 = 0.1 * r_scale
         for w in (0.3 * r_scale, r_scale, 3.0 * r_scale):
-            res = kk_residual(model, w, w0)
-            a_ref = float(attenuation_from_wavenumber(model, w))
-            checks.append(CheckReport(
-                name=f"kramers-kronig omega={w:.3e}",
-                passed=bool(res <= 0.01 * a_ref),
-                worst_violation=float(res / a_ref),
-                location=w,
-                grid=f"PV midpoint lattice in ln(omega), omega0={w0:.3e}",
-            ))
-        # causality battery on a model-scaled synthesis
-        x_c = 16.0 * model.c_inf * model.tau
-        wave = green1d(model, x=x_c, n_samples=4096,
-                       T=4.0 * x_c / model.c_inf)
-        metric = causality_metric(wave)
-        checks.append(CheckReport(
-            name="causality",
-            passed=bool(metric <= 1e-5),
-            worst_violation=float(metric),
-            location=x_c,
-            grid="green1d, n=4096, T=4 x/c_inf",
-        ))
+            run(_kk_check, model, w, w0)
+        run(_causality_check, model)
     report = {
         "schema": 1,
         "config_sha256": _config_hash(args),
-        "pass": all(c.passed for c in checks),
-        "checks": [c.to_dict() for c in checks],
+        "pass": all(c.passed for c, _ in checks),
+        "checks": [{**c.to_dict(), "elapsed_s": elapsed}
+                   for c, elapsed in checks],
     }
     with _output(args) as buf:
         json.dump(report, buf, indent=2)
         buf.write("\n")
     return 0 if report["pass"] else 1
+
+
+def _kk_check(model, w, w0) -> CheckReport:
+    res = kk_residual(model, w, w0)
+    a_ref = float(attenuation_from_wavenumber(model, w))
+    return CheckReport(
+        name=f"kramers-kronig omega={w:.3e}",
+        passed=bool(res <= 0.01 * a_ref),
+        worst_violation=float(res / a_ref),
+        location=w,
+        grid=f"PV midpoint lattice in ln(omega), omega0={w0:.3e}",
+    )
+
+
+def _causality_check(model) -> CheckReport:
+    """The causality battery on a model-scaled synthesis."""
+    x_c = 16.0 * model.c_inf * model.tau
+    wave = green1d(model, x=x_c, n_samples=4096, T=4.0 * x_c / model.c_inf)
+    metric = causality_metric(wave)
+    return CheckReport(
+        name="causality",
+        passed=bool(metric <= 1e-5),
+        worst_violation=float(metric),
+        location=x_c,
+        grid="green1d, n=4096, T=4 x/c_inf",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

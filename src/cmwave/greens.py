@@ -17,17 +17,25 @@ and its exact time-domain add-back:
    between the two samples around the arrival,
  * an exponential  c/(p+1/theta)  -> c e^(-s/theta) H(s): in 1D the
    jump-to-final ramp, c = v0 - v_inf; in 3D fitted to the 1/p content,
- * the fractional terms (1D)  sum_k C_k p^(s_k-1) sum_i A_i/(1+theta_i p)
-                                        -> sum_k C_k sum_i A_i theta_i^(-s_k)
+ * the fractional terms (1D)  sum_k C_k p^(e_k-1) sum_i A_i/(1+theta_i p)
+                                        -> sum_k C_k sum_i A_i theta_i^(-e_k)
                                            phi_k(s/theta_i) H(s),
-   phi_k(y) = y^(1-s_k) E_{1,2-s_k}(-y), matching the s^(-sig) relaxation
-   tail of media whose spectral density reaches r = 0 (Cole-Cole,
-   Havriliak-Negami), with s_k = sig and, while it stays below 1, 2 sig
-   (the power-law fluid below: each negative power of its spectrum).
-   One peel carries every term over pole sums formed once.  Three poles
-   make the subtracted term flat to order s^(3-s_k) at the front (the
-   partial-fraction sums kill the p^(s_k-2) and p^(s_k-3) coefficients),
-   so no artificial cusp is injected there,
+   phi_k(y) = y^(1-e_k) E_{1,2-e_k}(-y): the exact small-p expansion of
+   the spectrum, whose powers p^(e_k-1) set the slow relaxation tail
+   s^(-e_k) of media whose spectral density reaches r = 0.  For a solid,
+   q(p) = p v(p) - v_inf = (lam(y) - lam(0))/2
+   - x p lam(y) (lam(y) - 1/c_inf)/2 + O(p^2) with y = (tau p)^alpha and
+   lam = sqrt(rho/Q) a power series in y (Cole-Cole, Havriliak-Negami),
+   so the peel carries every non-integer k alpha and 1 + k alpha below 2,
+   from Taylor coefficients formed in floats by series arithmetic, and
+   bin 0 takes the exact p^1 coefficient c_lin; the first power left in
+   the remainder decays like s^-2 or faster.  For the power-law fluid
+   below, the e_k are the negative powers of its spectrum plus one.  One
+   peel carries every term over pole sums formed once.  Its poles make the
+   subtracted term flat to order s^(n-1-e_k) at the front for n poles
+   (the partial-fraction sums kill the p^(e_k-2) .. p^(e_k-n+1)
+   coefficients), so no artificial cusp is injected there: four for the
+   fluid, five for solids, whose e_k reach 2,
  * a residual second-order term  j1/((p+la)(p+lb))
                                         -> j1 (e^(-la s) - e^(-lb s)) /
                                            (lb - la) H(s),
@@ -37,40 +45,48 @@ and its exact time-domain add-back:
 The front jump v0 = exp(-beta(inf) x)/(2 c_inf) and the delta area
 c_delta = exp(-beta(inf) x)/(4 pi x c_inf^2) use the exact limit
 beta(inf) = int h(r) dr (infinite, so both vanish, for algebraic tails).
-The fitted coefficients come from one real-axis fit at a rate well above
-every scale of the synthesis, where beta is free of cancellation.  What
-remains decays at least like p^-3, is pole-free, and inverts cleanly; the
-wavefront shift is applied as an integer index shift so that
-pre-wavefront samples come from the (tiny) tail of the causal remainder
-rather than from interpolation ringing.  The padding pushes wrap-around
-aliasing of the relaxation tail below the causality tolerance, and the
-core raises SpectralDecayError when it does not.
+The remaining fitted coefficients (the 3D 1/p term and the kink) come
+from one real-axis fit at a rate well above every scale of the synthesis,
+where beta is free of cancellation.  What remains decays at least like
+p^-3, is pole-free, and inverts cleanly; the wavefront shift is applied as
+an integer index shift so that pre-wavefront samples come from the (tiny)
+tail of the causal remainder rather than from interpolation ringing.  The
+padding pushes wrap-around aliasing of the relaxation tail below the
+causality tolerance, and the core raises SpectralDecayError when it does
+not, a NaN included.
 
-The cost is the n_samples * pad_factor / 2 spectrum bins: pad 256 for
-algebraic tails, 32 otherwise, so 0.5 to 1 million bins for Cole-Cole and
-Havriliak-Negami at n = 4096 to 8192.  Every bin lies on the ray
-p = -i omega, so the powers (tau p)^alpha of beta and p^(s_k-1) of the
-fractional peel are one real power times one scalar phase, and the
-Havriliak-Negami factor (1 + x)^-gamma is taken in polar form
-(wavenumber._principal_power).  The bins are filled in blocks of _BLOCK
-bins, one pass per block: it forms the block's p, evaluates the spectrum,
-subtracts the front delta and every peel in place, applies the wavefront
-phase, the taper and the conjugate, and writes the result into the irfft
-input.  So the thirty-odd arithmetic passes run over arrays that stay in
-one core's L2 cache, and no full-length array exists but the irfft input
-and output.  A bin goes through the same operations whichever block it
-falls in, so the waveforms do not depend on the block size, bit for bit.
-The real-axis fits are ill-conditioned: a one-ulp change in beta at the
-fit's p = 1e-12 r_scale moves a waveform by up to 1e-7 of its peak.  So
-every expression they evaluate keeps its np.power arithmetic, in real
+The cost is the n_samples * pad_factor / 2 spectrum bins: pad 64 for
+algebraic tails in 1D and 256 in 3D, 32 otherwise, so 131k bins for a
+Cole-Cole or Havriliak-Negami 1D synthesis at n = 4096 and 1M in 3D at
+n = 8192.  The exact small-p peels leave a tail that decays like s^-2 or
+faster, where the fitted p^sig and p^(2 sig) peels left s^(-2 sig) and a
+pad of 256 (524k bins) was needed to push it down; on a 2-vCPU host a
+Cole-Cole 1D synthesis at verify's settings (x = 16 c_inf tau,
+n = 4096) takes 0.065 to 0.075 s instead of 0.13 to 0.18 s, and its
+error against a Talbot inversion is at most 3.6e-7 of the peak instead
+of 2.5e-6 (a 1.5, alpha 0.4).  The fractional add-back evaluates all
+terms' E_{1,2-e_k} of one pole in one Mittag-Leffler call, whose contour
+nodes they share.
+Every bin lies on the ray p = -i omega, so the powers (tau p)^alpha of
+beta and p^(e_k-1) of the fractional peel are one real power times one
+scalar phase, and the Havriliak-Negami factor (1 + x)^-gamma is taken in
+polar form (wavenumber._principal_power).  The bins are filled in blocks
+of _BLOCK bins, one pass per block: it forms the block's p, evaluates the
+spectrum, subtracts the front delta and every peel in place, applies the
+wavefront phase, the taper and the conjugate, and writes the result into
+the irfft input.  So the thirty-odd arithmetic passes run over arrays that
+stay in one core's L2 cache, and no full-length array exists but the
+irfft input and output.  A bin goes through the same operations whichever
+block it falls in, so the waveforms do not depend on the block size, bit
+for bit.  The high-rate fits amplify the last bit of beta (a one-ulp
+change moves the kink coefficient by a few 1e-6 relative), so every
+expression they evaluate keeps its np.power arithmetic, in real
 arithmetic, and waveforms agree with the plain complex evaluation to
-roundoff (6e-16 of the peak).  Measured on a 2-vCPU host against one
-full-length pass per step (the same bits): a Cole-Cole synthesis takes
-0.17 s instead of 0.26 s over 0.5M bins (1D) and 0.26 s instead of 0.35 s
-over 1M bins (3D), where it peaks at 34 MB of arrays instead of 92 MB;
-the median cmwave greens op of perfbench's greens workload takes 0.19 s
-instead of 0.22 s at the benchmark's speed scaling (0.19 s instead of
-0.26 s of wall time), and its process peaks at 123 MB instead of 150 MB.
+roundoff (6e-16 of the peak); the small-p fit at p = 1e-12 r_scale, which
+moved a waveform by up to 1e-7 of its peak for one ulp of beta, is gone.
+Measured on a 2-vCPU host against one full-length pass per step (the same
+bits): a Cole-Cole 3D synthesis takes 0.26 s instead of 0.35 s over 1M
+bins, where it peaks at 34 MB of arrays instead of 92 MB.
 
 Media with G_inf = 0 have no final-value step.  Of those, the 1D
 power-law fluid (the strongly singular regime, kappa = C p^g with no
@@ -95,7 +111,8 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import SpectralMeasure
+from ._quad import integrate_power
+from .measures import ColeCole, SpectralMeasure, StandardLinearSolid
 from .mittag_leffler import ml_e1_neg
 from .wavenumber import (
     MeasureMedium,
@@ -115,7 +132,9 @@ __all__ = [
 ]
 
 _THETA_FRACTION = 40.0    # ramp timescale = period / this
-_FRAC_FRACTION = 500.0    # fractional-peel timescale = period / this
+_FRAC_FRACTION = 2.0      # 1D fractional-peel timescale = T / this
+_FLUID_FRACTION = 64.0    # ... and the power-law fluid's
+_EXP_TOL = 1e-9           # exponents this close are equal
 _KINK_SAMPLES = 30.0      # short-peel timescale, in samples
 _ALIAS_LIMIT = 1e-4       # raise when the wrapped tail exceeds this x peak
 _FIT_RATIO = 1e3          # real-axis fit rate / largest synthesis rate
@@ -127,23 +146,29 @@ _TAPER_FRACTION = 0.1     # raised-cosine taper over this top part of the band
 _BLOCK = 16384
 
 
-def _frac_poles(theta_f: float):
+def _frac_poles(theta_f: float, n_poles: int):
     """Pole timescales and weights of the fractional-tail subtraction.
 
-    Four poles theta_f * (1, 1/2, 1/4, 1/8) with weights solving
+    Poles theta_i = theta_f * 2^-i, i < n_poles, with weights solving
 
-        sum A_i = 1,    sum A_i/theta_i = 0,
-        sum A_i/theta_i^2 = 0,    sum A_i theta_i = 0.
+        sum A_i = 1,    sum A_i/theta_i^j = 0 (j = 1 .. n_poles - 2),
+        sum A_i theta_i = 0.
 
-    The first condition reproduces the p^(sig-1) singularity exactly; the
-    middle two kill the p^(sig-2) and p^(sig-3) high-frequency terms (no
-    artificial cusp at the front); the last kills the leading s^(-1-sig)
-    error of the far tail, so the subtraction matches the physical
-    relaxation tail to O((theta_f/s)^2) relative.
+    The first condition reproduces the p^(e-1) singularity exactly; the
+    middle ones kill the p^(e-2) .. p^(e-n_poles+1) high-frequency terms,
+    so the subtracted term is flat to order s^(n_poles-1-e) at the front
+    (no artificial cusp there); the last kills the leading s^(-1-e) error
+    of the far tail, so the subtraction matches the physical relaxation
+    tail to O((theta_f/s)^2) relative.  Four poles serve the power-law
+    fluid's exponents e < 1.  A solid's reach e < 2, and with four poles
+    their s^(3-e) front rings on the grid (2.9e-6 of the peak three samples
+    after the front, Havriliak-Negami at verify's settings), so solids take
+    five.
     """
-    thetas = theta_f * np.array([1.0, 0.5, 0.25, 0.125])
-    rows = np.array([np.ones(4), 1.0 / thetas, 1.0 / thetas ** 2, thetas])
-    rhs = np.array([1.0, 0.0, 0.0, 0.0])
+    thetas = theta_f * 0.5 ** np.arange(n_poles)
+    rows = np.array([thetas ** -j for j in range(n_poles - 1)] + [thetas])
+    rhs = np.zeros(n_poles)
+    rhs[0] = 1.0
     weights = np.linalg.solve(rows, rhs)
     return thetas, weights
 
@@ -164,7 +189,11 @@ class Waveform:
     ``diagnostics`` records how the synthesis got there: ``pad_factor``,
     the number of spectrum ``bins`` evaluated (n_samples * pad_factor / 2)
     and ``alias_ratio``, the wrapped tail over the peak, against
-    ``alias_limit``, above which the synthesis raises SpectralDecayError.
+    ``alias_limit``, above which the synthesis raises SpectralDecayError;
+    in 1D also the small-p terms peeled, ``peel_exponents`` e_k and
+    ``peel_coefficients`` (of p^e_k in p v(p)), the p^1 coefficient
+    ``c_lin`` in bin 0 and the fractional-peel timescale
+    ``frac_timescale``.
     """
 
     time_grid: np.ndarray
@@ -272,21 +301,71 @@ def _real_axis_fit(f, p0, exps):
                            f(pts))
 
 
-def _low_freq_fit(q, sing_exp, r_scale):
-    """Fit the small-p expansion of q(p) = p V(p) - v_inf of the 1D
-    spectrum V on the real axis.
+def _series_power(f, r: float, n: int) -> np.ndarray:
+    """Taylor coefficients 0..n-1 of f(y)^r from those of f, f[0] > 0, by
+    J. C. P. Miller's recurrence (from f (f^r)' = r f' f^r):
+    g_m = sum_{k=1..m} ((r + 1) k - m) f_k g_(m-k) / (m f_0)."""
+    f = np.concatenate([f, np.zeros(max(0, n - len(f)))])[:n]
+    g = np.zeros(n)
+    g[0] = f[0] ** r
+    for m in range(1, n):
+        k = np.arange(1, m + 1)
+        g[m] = np.dot(((r + 1.0) * k - m) * f[1:m + 1], g[m - 1::-1]) \
+            / (m * f[0])
+    return g
 
-    Returns (fractional_terms, c_lin): fractional_terms is a list of
-    (exponent, coefficient) pairs covering sig and, when it still lies
-    below 1, 2 sig (whose inverse tail would otherwise outlive the linear
-    term); c_lin is the analytic p^1 coefficient.
+
+def _small_p_terms(model, x: float, c0: float):
+    """The exact small-p expansion of q(p) = p V(p) - 1/(2 c0) of the 1D
+    spectrum V = lam exp(-beta x)/(2 p): its fractional terms and c_lin.
+
+    With L = lam = sqrt(rho/Q), a series in y = (tau p)^alpha, and
+    beta = p (L - 1/c_inf),
+
+        q = (L(y) - L(0))/2 - x p L(y) (L(y) - 1/c_inf)/2 + O(p^2).
+
+    Returns (terms, c_lin): terms lists (exponent, coefficient) of every
+    power p^e, e = k alpha or 1 + k alpha, that is not an integer and lies
+    below 2 (equal exponents merged); c_lin is the coefficient of p^1.
+    A finite-band medium (support above 0) has an analytic beta, so only
+    c_lin = -int h/r^2 dr / 2 - x (1/c0 - 1/c_inf)/(2 c0).
     """
-    exps = [] if sing_exp is None else [sing_exp]
-    if sing_exp is not None and 2.0 * sing_exp < 0.95:
-        exps.append(2.0 * sing_exp)
-    basis = exps + [1.0] if exps else [1.0, 2.0]
-    coefs = _real_axis_fit(q, 1e-12 * r_scale, basis)
-    return list(zip(exps, coefs)), float(coefs[len(exps)])
+    c_inf = model.c_inf
+    if isinstance(model, MeasureMedium):
+        return [], -0.5 * integrate_power(model.measure, -2.0) \
+            - 0.5 * x / c0 * (1.0 / c0 - 1.0 / c_inf)
+    alpha = getattr(model, "alpha", 1.0)
+    n = int(2.0 / alpha) + 1
+    if isinstance(model, (ColeCole, StandardLinearSolid)):
+        # Q = G_inf (1 + a y)/(1 + y)
+        ell = math.sqrt(model.rho / model.g_inf) * np.convolve(
+            _series_power(np.array([1.0, 1.0]), 0.5, n),
+            _series_power(np.array([1.0, model.a]), -0.5, n))[:n]
+    else:
+        # Q = G0 (1 - b (1 + y)^-gamma)
+        f = -model.b * _series_power(np.array([1.0, 1.0]), -model.gamma, n)
+        f[0] = 1.0 - model.b
+        ell = math.sqrt(model.rho / model.g0) * _series_power(f, -0.5, n)
+    m = np.convolve(ell, ell)[:n] - ell / c_inf
+    scale = model.tau ** (alpha * np.arange(n))
+    powers = [(k * alpha, float(0.5 * ell[k] * scale[k]))
+              for k in range(1, n)] \
+        + [(1.0 + k * alpha, float(-0.5 * x * m[k] * scale[k]))
+           for k in range(n)]
+    terms, c_lin = [], 0.0
+    for e, c in powers:
+        if e > 2.0 - _EXP_TOL:
+            continue
+        if abs(e - 1.0) <= _EXP_TOL:
+            c_lin += c
+            continue
+        for i, (e_i, c_i) in enumerate(terms):
+            if abs(e - e_i) <= _EXP_TOL:
+                terms[i] = (e_i, c_i + c)
+                break
+        else:
+            terms.append((e, c))
+    return terms, c_lin
 
 
 @dataclass(frozen=True)
@@ -335,7 +414,8 @@ def _frac_peel(terms, thetas, weights):
     """sum_k c_k p^(e_k-1) sum_i A_i/(1 + theta_i p)
     <-> sum_k c_k sum_i A_i theta_i^(-e_k) phi_k(s/theta_i) H(s),
     phi_k(y) = y^(1-e_k) E_{1,2-e_k}(-y), for the (e_k, c_k) of ``terms``.
-    The pole sum is formed once for all terms."""
+    The pole sum is formed once for all terms, and the add-back evaluates
+    every term's E_{1,2-e_k} at a pole in one ml_e1_neg call."""
     def subtract(out, p):
         poles = np.zeros_like(p)
         term = np.empty_like(p)
@@ -350,43 +430,46 @@ def _frac_peel(terms, thetas, weights):
             term *= poles
             out -= term
 
+    betas = np.array([2.0 - e for e, _ in terms])
+
     def time(s):
+        nz = s > 0.0
+        ys = [s[nz] / th_i for th_i in thetas]
+        rows = [ml_e1_neg(betas, y) for y in ys]
         out = np.zeros_like(s)
-        for e, c in terms:
-            for a_i, th_i in zip(weights, thetas):
-                y = s / th_i
-                nz = y > 0.0
-                out[nz] += c * a_i * th_i ** (-e) * y[nz] ** (1.0 - e) \
-                    * ml_e1_neg(2.0 - e, y[nz])
+        for k, (e, c) in enumerate(terms):
+            for a_i, th_i, y, e1 in zip(weights, thetas, ys, rows):
+                out[nz] += c * a_i * th_i ** (-e) * y ** (1.0 - e) * e1[k]
         return out
 
     return _Peel(subtract, 0.0, time)
 
 
-def _fluid_peels(model, x, T):
-    """The peels of the power-law fluid's 1D spectrum and its bin 0.
+def _fluid_terms(model, x):
+    """The fractional terms of the power-law fluid's 1D spectrum and the
+    coefficient of its p^0 term.
 
     kappa = C p^g, so the spectrum (C/2) p^(g-2) exp(-C x p^g) expands
     exactly as sum_k c_k p^(s_k), c_k = (C/2) (-C x)^k/k!,
-    s_k = (k+1) g - 2.  One fractional peel carries every s_k < 0 as the
-    term e_k = s_k + 1: its pole sums are 1 + O(p^2), so it induces no
-    p^(s_k+1) term and the remainder tends to the coefficient of an
-    s_k = 0 term, if there is one, at p = 0.
+    s_k = (k+1) g - 2.  Every s_k < 0 is the fractional term e_k = s_k + 1
+    (one peel carries them all: its pole sums are 1 + O(p^2), so it
+    induces no p^(s_k+1) term), and the remainder tends to the coefficient
+    of an s_k = 0 term, if there is one, at p = 0.
     """
     g = 1.0 - model.measure.tail_exponent_high
     c_b = wave_number(model, 1.0 + 0.0j).real
     terms, dc = [], 0.0
     k = 0
-    while (s_k := (k + 1) * g - 2.0) < 1e-9:
+    while (s_k := (k + 1) * g - 2.0) < _EXP_TOL:
         coef = 0.5 * c_b * (-c_b * x) ** k / math.factorial(k)
         # an exponent within rounding of 0 (g = 2/(k+1) up to the ulps of
         # 1 - (1 - g)) is the p^0 term
-        if s_k > -1e-9:
+        if s_k > -_EXP_TOL:
             dc = coef
         else:
             terms.append((s_k + 1.0, coef))
         k += 1
-    return [_frac_peel(terms, *_frac_poles(T / 64.0))], dc
+    return terms, dc
 
 
 def _lam_decay(model, x, p):
@@ -421,7 +504,7 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
     measure, c_inf, c0 = model.spectral_measure(), model.c_inf, model.c0
     sing = _sing_exponent(measure)
     if pad_factor is None:
-        pad_factor = 256 if sing is not None else 32
+        pad_factor = 32 if sing is None else 64 if dim == 1 else 256
     if c0 is None:
         if dim == 3:
             raise NotImplementedError("3D synthesis requires G_inf > 0")
@@ -440,23 +523,26 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
     lb = la / 2.0
 
     front = math.exp(-beta_at_infinity(model) * x)
-    if c0 is None:
-        dc_step = 0.0
-        peels, dc = _fluid_peels(model, x, T)
+    diagnostics = {"pad_factor": pad_factor, "bins": n_full // 2}
+    if dim == 1:
+        if c0 is None:
+            dc_step = 0.0
+            terms, dc = _fluid_terms(model, x)
+            theta_f, n_poles = T / _FLUID_FRACTION, 4
+            peels = []
+        else:
+            dc_step = 0.5 / c0
+            terms, dc = _small_p_terms(model, x, c0)
+            theta_f, n_poles = T / _FRAC_FRACTION, 5
+            peels = [_step_peel(dc_step),
+                     _exp_peel(0.5 * front / c_inf - dc_step, theta)]
+        if terms:
+            peels.append(_frac_peel(terms, *_frac_poles(theta_f, n_poles)))
         front_delta = 0.0
-        fit_orders = ()
-    elif dim == 1:
-        dc_step = 0.5 / c0
-        frac_terms, dc = _low_freq_fit(
-            lambda p: 0.5 * _lam_decay(model, x, p + 0.0j)[0].real
-            - dc_step, sing, measure.r_scale)
-        peels = [_step_peel(dc_step),
-                 _exp_peel(0.5 * front / c_inf - dc_step, theta)]
-        if frac_terms:
-            peels.append(_frac_peel(
-                frac_terms, *_frac_poles(t_period / _FRAC_FRACTION)))
-        front_delta = 0.0
-        fit_orders = (2,)
+        fit_orders = () if c0 is None else (2,)
+        diagnostics.update(peel_exponents=[e for e, _ in terms],
+                           peel_coefficients=[c for _, c in terms],
+                           c_lin=dc, frac_timescale=theta_f)
     else:
         dc_step = 0.0
         dc = 1.0 / (4.0 * math.pi * x * c0 ** 2)
@@ -509,7 +595,7 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
             u[k_shift + 1] += front_delta * frac / dt
 
     peak = float(np.max(np.abs(u)))
-    if alias > _ALIAS_LIMIT * peak:
+    if not alias <= _ALIAS_LIMIT * peak:     # NaN included
         raise SpectralDecayError(
             f"wrap-around tail {alias:.2e} exceeds {_ALIAS_LIMIT:.0e} of "
             f"peak {peak:.2e}; increase pad_factor or T")
@@ -521,8 +607,7 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
         wavefront_time=None if c0 is None else t_w,
         dc_step_amplitude=dc_step,
         front_delta_area=front_delta,
-        diagnostics={"pad_factor": pad_factor, "bins": n_full // 2,
-                     "alias_ratio": alias / peak,
+        diagnostics={**diagnostics, "alias_ratio": alias / peak,
                      "alias_limit": _ALIAS_LIMIT},
     )
 
@@ -534,8 +619,9 @@ def green1d(model, x: float, n_samples: int, T: float, taper: bool = True,
     ``taper``: raised-cosine window over the top 10% of the band; disable
     when measuring wavefront discontinuities, which a taper would mask.
     ``pad_factor``: internal period extension, a positive int power of two
-    (ValueError otherwise); defaults to 256 for media with an algebraic
-    relaxation tail and 32 otherwise.
+    (ValueError otherwise); defaults to 64 for media with an algebraic
+    relaxation tail (Cole-Cole, Havriliak-Negami), whose small-p powers
+    below p^2 are peeled exactly, and 32 otherwise.
     """
     return _synthesize(model, x, n_samples, T, taper, pad_factor, dim=1)
 
@@ -546,7 +632,9 @@ def green3d(model, x: float, n_samples: int, T: float, taper: bool = True,
     u3^(w, x) = kappa(-i w)/(2 pi x) * u1^(w, x).
 
     Media with finite spectral mass carry a genuine delta at the front; it
-    is added as a single-sample spike of the analytically known area."""
+    is added as a single-sample spike of the analytically known area.
+    ``pad_factor`` defaults to 256 for media with an algebraic relaxation
+    tail and 32 otherwise."""
     return _synthesize(model, x, n_samples, T, taper, pad_factor, dim=3)
 
 

@@ -137,6 +137,16 @@ def _crossover(alpha: float, beta: float):
     return s_alpha, w, target
 
 
+def _check_floor(val, floor, live) -> None:
+    """MLToleranceError where the error floor of a contour sum exceeds 1e-8
+    of its value at a live point (z != 0)."""
+    bad = (floor > _TOL * np.abs(val)) & live
+    if bad.any():
+        with np.errstate(divide="ignore"):
+            ratio = np.atleast_1d(floor / np.abs(val))[np.atleast_1d(bad)]
+        raise MLToleranceError(float(ratio.max()))
+
+
 def mittag_leffler(alpha: float, beta_param: float, z):
     """E_{alpha,beta}(z) for real z <= 0 (scalar or array), alpha in
     (0, 1], beta > 0.
@@ -162,12 +172,7 @@ def mittag_leffler(alpha: float, beta_param: float, z):
         s_alpha, w, target = _crossover(alpha, beta_param)
         terms = w / (s_alpha - z[..., None])
         out = terms.sum(axis=-1).real
-        floor = target * np.abs(terms).sum(axis=-1)
-        bad = (floor > _TOL * np.abs(out)) & ~at_zero
-        if bad.any():
-            with np.errstate(divide="ignore"):
-                ratio = np.atleast_1d(floor / np.abs(out))[np.atleast_1d(bad)]
-            raise MLToleranceError(float(ratio.max()))
+        _check_floor(out, target * np.abs(terms).sum(axis=-1), ~at_zero)
         if at_zero.any():
             out = np.where(at_zero, _rgamma(beta_param), out)
     return float(out) if np.ndim(out) == 0 else out
@@ -185,11 +190,56 @@ def cole_cole_relaxation_modulus(model: ColeCole, t: float) -> float:
     return model.g_inf * (1.0 + (model.a - 1.0) * e)
 
 
-def ml_e1_neg(beta_param: float, y):
-    """Vectorised E_{1,beta}(-y) for y >= 0 and 1 < beta < 3, the
-    analytic fractional-peel terms of the Green's synthesis (beta up to 2
-    for the relaxation tails of solids, up to 3 for the small-p powers of
-    the power-law fluid)."""
-    if not 1.0 < beta_param < 3.0:
-        raise ValueError("ml_e1_neg supports 1 < beta < 3")
-    return mittag_leffler(1.0, beta_param, -np.asarray(y, dtype=float))
+def ml_e1_neg(beta_param, y):
+    """Vectorised E_{1,beta}(-y) for y >= 0 and 0 < beta < 3, the analytic
+    fractional-peel terms of the Green's synthesis (beta in (0, 2) for the
+    small-p powers of solids, up to 3 for those of the power-law fluid).
+
+    A sequence of betas gives one row per beta over the same y, and the
+    betas share the contour work where their contours share nodes.  From
+    beta = 1 up, E_{1,beta}(-y) is completely monotonic in y and has the
+    evaluator's relative accuracy.  Below 1 it changes sign, where no
+    relative accuracy exists, and it is formed as
+    1/Gamma(beta) - y E_{1,beta+1}(-y), to 1e-8 of y E_{1,beta+1}(-y), from
+    the same row as beta + 1 when the list holds both.
+    """
+    betas = np.atleast_1d(np.asarray(beta_param, dtype=float))
+    if betas.ndim != 1 or not np.all((0.0 < betas) & (betas < 3.0)):
+        raise ValueError("ml_e1_neg supports 0 < beta < 3")
+    y = np.asarray(y, dtype=float)
+    if not (y >= 0.0).all():
+        raise ValueError("only y >= 0 is supported")
+    z = -y.ravel()
+    low = betas < 1.0
+    # a beta below 1 takes the row of beta + 1, and equal rows are formed
+    # once: a Green's peel has both k alpha and 1 + k alpha among its terms
+    _, first, row_of = np.unique(np.round(betas + low, 14), return_index=True,
+                                 return_inverse=True)
+    shifted = (betas + low)[first]
+    rows = np.empty((len(shifted), z.size))
+    # betas whose contours have the same nodes (every beta <= 2, whose
+    # origin singularity has strength 0) share the divisions
+    # 1/(s_k - z), each multiplied by the weights of its betas
+    node_sets = {}
+    for i, beta in enumerate(shifted.tolist()):
+        if beta == 1.0:
+            rows[i] = np.exp(z)
+        else:
+            s_alpha, w, target = _crossover(1.0, beta)
+            node_sets.setdefault(s_alpha.tobytes(), (s_alpha, target, []))[
+                2].append((i, w))
+    for s_alpha, target, members in node_sets.values():
+        inv = np.divide(1.0, s_alpha - z[:, None])
+        inv_abs = np.abs(inv)
+        for i, w in members:
+            rows[i] = (inv * w).sum(axis=-1).real
+            _check_floor(rows[i], target * (inv_abs * np.abs(w)).sum(axis=-1),
+                         z != 0.0)
+    rows[:, z == 0.0] = [[_rgamma(beta)] for beta in shifted]
+    rows = rows[row_of]
+    if low.any():
+        rows[low] = [[_rgamma(beta)] for beta in betas[low]] + z * rows[low]
+    if np.ndim(beta_param) == 0:
+        out = rows[0].reshape(y.shape)
+        return float(out) if out.ndim == 0 else out
+    return rows

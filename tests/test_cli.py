@@ -129,6 +129,15 @@ def test_greens_csv(tmp_path):
     meta = [line for line in lines if line.startswith("#")]
     assert any("wavefront_time=1e-05" in m for m in meta)
     assert any("dc_step_amplitude=" in m for m in meta)
+    # the synthesis record, one additive diag_ line per key
+    diag = dict(m[2:].split("=", 1) for m in meta if m.startswith("# diag_"))
+    assert diag["diag_pad_factor"] == "32"
+    assert diag["diag_bins"] == str(4096 * 32 // 2)
+    assert 0.0 < float(diag["diag_alias_ratio"]) \
+        < float(diag["diag_alias_limit"]) == 1e-4
+    assert json.loads(diag["diag_peel_exponents"]) == []
+    assert float(diag["diag_c_lin"]) < 0.0
+    assert float(diag["diag_frac_timescale"]) == 2e-5
     header, rows = read_table(out)
     assert header == ["t_seconds", "u"]
     assert rows.shape == (4096, 2)
@@ -146,12 +155,36 @@ def test_verify_pass_and_fail(tmp_path):
     assert report["schema"] == 1
     assert report["pass"] is True
     assert len(report["checks"]) >= 5
+    # each check carries the seconds it took, next to the keys it had
+    for check in report["checks"]:
+        assert set(check) == {"name", "pass", "worst_violation", "location",
+                              "grid", "elapsed_s"}
+        assert 0.0 <= check["elapsed_s"] < 60.0
 
     out_bad = tmp_path / "bad.json"
     rc = main(["verify", "--model", "synthetic-bad", "-o", str(out_bad)])
     assert rc == 1
     report = json.loads(out_bad.read_text())
     assert report["pass"] is False
+
+
+@pytest.mark.parametrize("model_args", [
+    ["--model", "cole-cole", "--a", "1.5", "--alpha", "0.2"],
+    ["--model", "cole-cole", "--a", "1.65", "--alpha", "0.53"],
+    ["--model", "havriliak-negami", "--b", "0.5", "--alpha", "0.3",
+     "--gamma", "0.5"],
+    ["--model", "havriliak-negami", "--b", "0.81", "--alpha", "0.56",
+     "--gamma", "0.96"],
+], ids=["cc-0.2", "cc-0.53", "hn-0.3", "hn-0.81"])
+def test_verify_passes_on_small_p_tails(model_args, tmp_path):
+    # admissible models whose 1D causality synthesis raised (exit 3) or
+    # leaked 1.2e-5 of its peak (exit 1) while the small-p tail was fitted
+    out = tmp_path / "rep.json"
+    assert main(["verify", *model_args, "--tau", "1e-13", "--cinf", "5000",
+                 "-o", str(out)]) == 0
+    report = json.loads(out.read_text())
+    causality = [c for c in report["checks"] if c["name"] == "causality"]
+    assert causality[0]["worst_violation"] <= 1e-5
 
 
 def test_config_file_and_override(tmp_path):
@@ -239,7 +272,18 @@ def test_config_file_run_is_the_flag_run(argv, tmp_path):
     by_flags, by_file = tmp_path / "flags.out", tmp_path / "file.out"
     code = main([*argv, "-o", str(by_flags)])
     assert main([argv[0], "--config", str(cfg), "-o", str(by_file)]) == code
-    assert by_flags.read_bytes() == by_file.read_bytes()
+    if argv[0] == "verify":
+        # each check's elapsed_s is a timing, which no two runs share; the
+        # reports are the same bytes once those are set aside
+        reports = [json.loads(path.read_text())
+                   for path in (by_flags, by_file)]
+        for report in reports:
+            for check in report["checks"]:
+                assert check.pop("elapsed_s") >= 0.0
+        assert json.dumps(reports[0], indent=2) \
+            == json.dumps(reports[1], indent=2)
+    else:
+        assert by_flags.read_bytes() == by_file.read_bytes()
 
 
 def test_two_calls_build_no_second_parser(monkeypatch, tmp_path):

@@ -330,8 +330,10 @@ def _peel_reference(name, args, p):
 def test_bins_match_the_complex_arithmetic_spectrum(monkeypatch, family,
                                                     synth):
     # every peel the synthesis builds, and its spectrum, on the bins
-    # p = -i omega, against the plain complex expressions; Cole-Cole with
-    # 2 alpha < 0.95 carries two fractional terms
+    # p = -i omega, against the plain complex expressions; the fractional
+    # peel carries every non-integer k alpha and 1 + k alpha below 2:
+    # 0.4, 0.8, 1.2, 1.6, 1.4 and 1.8 for Cole-Cole with alpha = 0.4, and
+    # alpha, 2 alpha and 1 + alpha for Havriliak-Negami with alpha = 1/1.3
     import cmwave.greens as greens
 
     x = 1e-3
@@ -356,9 +358,10 @@ def test_bins_match_the_complex_arithmetic_spectrum(monkeypatch, family,
     if dim == 1:
         terms = next(args for name, args, _ in built
                      if name == "_frac_peel")[0]
-        assert len(terms) == (2 if family == "cc" else 1)
+        assert len(terms) == (6 if family == "cc" else 3)
 
-    p = -1j * greens._bins(4096 * 256, T / 4096, 1, 4096 * 128 + 1)
+    pad = 64 if dim == 1 else 256
+    p = -1j * greens._bins(4096 * pad, T / 4096, 1, 4096 * pad // 2 + 1)
     for name, args, peel in built:
         out = np.zeros_like(p)
         peel.subtract(out, p)
@@ -376,17 +379,41 @@ def test_bins_match_the_complex_arithmetic_spectrum(monkeypatch, family,
 def test_waveform_diagnostics():
     x = 1e-3
     cc = cc_resolvable(x)
-    w = green1d(cc, x=x, n_samples=4096, T=4 * x / cc.c_inf)
+    T = 4 * x / cc.c_inf
+    w = green1d(cc, x=x, n_samples=4096, T=T)
     d = w.diagnostics
-    assert d["pad_factor"] == 256
-    assert d["bins"] == 4096 * 256 // 2
+    assert d["pad_factor"] == 64
+    assert d["bins"] == 4096 * 64 // 2
     assert d["alias_limit"] == 1e-4
     assert 0.0 < d["alias_ratio"] < d["alias_limit"]
+    # alpha = 1/2: p^(1/2) and p^(3/2) peeled (k alpha = 1.5 and
+    # 1 + alpha merged), p^1 exact in bin 0
+    assert d["peel_exponents"] == [0.5, 1.5]
+    assert len(d["peel_coefficients"]) == 2
+    assert all(isinstance(c, float) for c in d["peel_coefficients"])
+    assert isinstance(d["c_lin"], float) and d["c_lin"] < 0.0
+    assert d["frac_timescale"] == T / 2
 
-    w3 = green3d(cc, x=x, n_samples=4096, T=4 * x / cc.c_inf,
-                 pad_factor=1024)
+    # 3D keeps its real-axis fits and pad 256, and records no peels
+    w3 = green3d(cc, x=x, n_samples=4096, T=T)
+    assert w3.diagnostics["pad_factor"] == 256
+    assert "peel_exponents" not in w3.diagnostics
+    w3 = green3d(cc, x=x, n_samples=4096, T=T, pad_factor=1024)
     assert w3.diagnostics["pad_factor"] == 1024
     assert w3.diagnostics["bins"] == 4096 * 1024 // 2
+
+    hn = cw.HavriliakNegami(b=0.5, alpha=1 / 1.3, gamma=0.65, tau=x / 44800,
+                            g0=RHO * C_INF ** 2, rho=RHO)
+    assert green1d(hn, x=x, n_samples=4096, T=T).diagnostics[
+        "pad_factor"] == 64
+    for solid in (cw.StandardLinearSolid(a=1.5, tau=2e-6, g_inf=G_INF,
+                                         rho=RHO),
+                  cw.ColeDavidson(b=0.5, gamma=0.5, tau=2e-6,
+                                  g0=RHO * C_INF ** 2, rho=RHO)):
+        ds = green1d(solid, x=0.05, n_samples=4096,
+                     T=0.2 / C_INF).diagnostics
+        assert ds["pad_factor"] == 32
+        assert ds["peel_exponents"] == []
 
     fluid = MeasureMedium(cw.make_powerlaw_measure(0.0065, 0.75),
                           c_inf=math.inf)
@@ -395,6 +422,9 @@ def test_waveform_diagnostics():
     assert wf.diagnostics["bins"] == 4096 * 32 // 2
     assert wf.diagnostics["alias_limit"] == 1e-4
     assert 0.0 < wf.diagnostics["alias_ratio"] < 1e-4
+    # s_k = 0.75 (k + 1) - 2: -1.25 and -0.5 peeled, as e = s_k + 1
+    assert wf.diagnostics["peel_exponents"] == pytest.approx([-0.25, 0.5])
+    assert wf.diagnostics["frac_timescale"] == 1.0 / 64
 
     # a waveform built by hand carries an empty record
     assert Waveform(time_grid=w.time_grid, samples=w.samples, x=x,
@@ -449,3 +479,130 @@ def test_synthesis_array_peak():
         tracemalloc.stop()
     assert w.diagnostics["bins"] == 8192 * 256 // 2
     assert peak <= 48e6
+
+
+def _verify_settings(model):
+    """x, n and T of the causality check of ``cmwave verify``."""
+    x = 16.0 * model.c_inf * model.tau
+    return x, 4096, 4.0 * x / model.c_inf
+
+
+def _mp_lam_of_y(model, y):
+    """sqrt(rho/Q) as a function of y = (tau p)^alpha, in mpmath."""
+    import mpmath
+
+    if isinstance(model, (cw.ColeCole, cw.StandardLinearSolid)):
+        q = model.g_inf * (1 + model.a * y) / (1 + y)
+    else:
+        q = model.g0 * (1 - model.b * (1 + y) ** -mpmath.mpf(model.gamma))
+    return mpmath.sqrt(model.rho / q)
+
+
+def _talbot_green1d(model, x, s):
+    """v1 at s after the wavefront: the Talbot inversion of
+    lam exp(-beta x)/(2 p), beta = p (lam - 1/c_inf), at 30 digits."""
+    import mpmath
+
+    alpha = mpmath.mpf(getattr(model, "alpha", 1.0))
+    slow = 1 / mpmath.sqrt(model.g0 / model.rho)
+
+    def spectrum(p):
+        lam = _mp_lam_of_y(model, (mpmath.mpf(model.tau) * p) ** alpha)
+        return lam * mpmath.exp(-p * (lam - slow) * x) / (2 * p)
+
+    with mpmath.workdps(30):
+        return float(mpmath.invertlaplace(spectrum, s, method="talbot"))
+
+
+@pytest.mark.parametrize("model", [
+    cw.ColeCole(a=1.5, alpha=0.2, tau=1e-13, g_inf=G_INF, rho=RHO),
+    cw.ColeCole(a=1.65, alpha=0.53, tau=1e-13,
+                g_inf=RHO * C_INF ** 2 / 1.65, rho=RHO),
+    cw.HavriliakNegami(b=0.5, alpha=1 / 1.3, gamma=0.65, tau=1e-13,
+                       g0=RHO * C_INF ** 2, rho=RHO),
+    cw.StandardLinearSolid(a=1.5, tau=1e-13, g_inf=G_INF, rho=RHO),
+    cw.ColeDavidson(b=0.5, gamma=0.5, tau=1e-13, g0=RHO * C_INF ** 2,
+                    rho=RHO),
+], ids=["cc-0.2", "cc-0.53", "hn", "sls", "cd"])
+def test_green1d_matches_talbot_after_the_front(model):
+    # verify's synthesis against an independent inversion, 1 to 40 tau
+    # after the front (closer in, Talbot itself fails for alpha = 0.2);
+    # with the small-p tail fitted rather than peeled, Cole-Cole 0.53 was
+    # off by a flat 1.2e-5 of the peak
+    x, n, T = _verify_settings(model)
+    w = green1d(model, x=x, n_samples=n, T=T)
+    peak = np.max(np.abs(w.samples))
+    k_front = math.ceil(w.wavefront_time / w.dt)
+    for s_tau in (1.0, 4.0, 10.0, 20.0, 40.0):
+        k = k_front + round(s_tau * model.tau / w.dt)
+        s = w.time_grid[k] - w.wavefront_time
+        ref = _talbot_green1d(model, x, s)
+        assert abs(w.samples[k] - ref) <= 1e-5 * peak, s_tau
+
+
+def _mp_small_p_terms(model, x):
+    """The exponents and coefficients of q(p) = p V(p) - 1/(2 c0) below
+    p^2, from mpmath Taylor coefficients of lam(y) = sqrt(rho/Q) in
+    y = (tau p)^alpha: q = (lam - lam(0))/2 - x p lam (lam - 1/c_inf)/2 +
+    O(p^2).  Returns {exponent rounded to 9 digits: coefficient}."""
+    import mpmath
+
+    alpha = getattr(model, "alpha", 1.0)
+    n = int(2.0 / alpha) + 1
+    with mpmath.workdps(40):
+        slow = 1 / mpmath.sqrt(model.g0 / model.rho)
+        ell = mpmath.taylor(lambda y: _mp_lam_of_y(model, y), 0, n - 1)
+        m = [sum(ell[j] * ell[k - j] for j in range(k + 1)) - slow * ell[k]
+             for k in range(n)]
+        out = {}
+        for k in range(n):
+            scale = mpmath.mpf(model.tau) ** (k * mpmath.mpf(alpha))
+            for e, c in ((k * alpha, ell[k] * scale / 2),
+                         (1 + k * alpha, -x * m[k] * scale / 2)):
+                if 0 < e < 2 - 1e-9:
+                    key = round(e, 9)
+                    out[key] = out.get(key, 0) + float(c)
+    return out
+
+
+@pytest.mark.parametrize("model", [
+    cw.ColeCole(a=1.5, alpha=0.4, tau=1e-13, g_inf=G_INF, rho=RHO),
+    cw.ColeCole(a=1.65, alpha=0.53, tau=1e-13,
+                g_inf=RHO * C_INF ** 2 / 1.65, rho=RHO),
+    cw.ColeCole(a=1.5, alpha=0.5, tau=1e-13, g_inf=G_INF, rho=RHO),
+    cw.HavriliakNegami(b=0.5, alpha=1 / 1.3, gamma=0.65, tau=1e-13,
+                       g0=RHO * C_INF ** 2, rho=RHO),
+    cw.HavriliakNegami(b=0.81, alpha=0.56, gamma=0.96, tau=1e-13,
+                       g0=RHO * C_INF ** 2, rho=RHO),
+    cw.StandardLinearSolid(a=1.5, tau=1e-13, g_inf=G_INF, rho=RHO),
+    cw.ColeDavidson(b=0.5, gamma=0.5, tau=1e-13, g0=RHO * C_INF ** 2,
+                    rho=RHO),
+], ids=["cc-0.4", "cc-0.53", "cc-0.5", "hn", "hn-0.81", "sls", "cd"])
+def test_small_p_terms_are_the_taylor_coefficients(model):
+    # the float series arithmetic against 40-digit Taylor coefficients:
+    # every peeled exponent, and c_lin, the exact p^1 coefficient in bin 0
+    x, n, T = _verify_settings(model)
+    d = green1d(model, x=x, n_samples=n, T=T).diagnostics
+    want = _mp_small_p_terms(model, x)
+    c_lin = want.pop(1.0)
+    assert d["c_lin"] == pytest.approx(c_lin, rel=1e-12)
+    got = dict(zip((round(e, 9) for e in d["peel_exponents"]),
+                   d["peel_coefficients"]))
+    assert got.keys() == want.keys()
+    for e, c in want.items():
+        assert got[e] == pytest.approx(c, rel=1e-11), e
+
+
+def test_finite_band_c_lin_is_the_second_inverse_moment():
+    # beta = p int h/(p + r) dr is analytic at p = 0 for a band above 0:
+    # nothing is peeled, and c_lin = -int h/r^2 dr/2 - x D/(2 c0)
+    height, r_lo, r_hi = 1e-7, 1e5, 1e6
+    medium = MeasureMedium(cw.make_finiteband_measure(height, r_lo, r_hi),
+                           c_inf=C_INF)
+    x = 0.05
+    d = green1d(medium, x=x, n_samples=4096, T=4e-5).diagnostics
+    d_const = height * math.log(r_hi / r_lo)
+    c0 = 1.0 / (1.0 / C_INF + d_const)
+    want = -0.5 * height * (1.0 / r_lo - 1.0 / r_hi) - 0.5 * x * d_const / c0
+    assert d["peel_exponents"] == []
+    assert d["c_lin"] == pytest.approx(want, rel=1e-8)

@@ -173,9 +173,9 @@ def test_relaxation_modulus_is_licm(cc):
 
 
 def test_ml_e1_neg_windows():
-    # beta up to 2 for the relaxation tails, up to 3 for the power-law
-    # fluid's small-p powers
-    for beta in (1.25, 1.5, 2.0, 2.5, 2.9):
+    # beta in (0, 2) for the small-p powers of solids, up to 3 for the
+    # power-law fluid's
+    for beta in (0.1, 0.5, 0.9, 1.25, 1.5, 2.0, 2.5, 2.9):
         ys = np.array([0.0, 1.0, 4.0, 12.0, 29.0, 30.0, 100.0])
         got = ml_e1_neg(beta, ys)
         ref = np.array([series_reference(1.0, beta, -y) if y <= 40 else None
@@ -183,9 +183,41 @@ def test_ml_e1_neg_windows():
         for g, r in zip(got, ref):
             if r is not None:
                 assert g == pytest.approx(r, rel=5e-9)
-    for beta in (1.0, 3.0):
+    for beta in (0.0, 3.0):
         with pytest.raises(ValueError):
             ml_e1_neg(beta, np.array([1.0]))
+    with pytest.raises(ValueError):
+        ml_e1_neg([0.5, 3.0], np.array([1.0]))
+
+
+def test_ml_e1_neg_through_its_zero_below_beta_one():
+    # E_{1,beta}(-y) changes sign for beta < 1 (roots y0 near 0.161, 0.390,
+    # 1.098 and 3.170 for the betas below), where no relative accuracy
+    # exists: the value is 1/Gamma(beta) - y E_{1,beta+1}(-y), to 5e-9 of
+    # y E_{1,beta+1}(-y); a relative check there raised for the add-back
+    # of the Green's synthesis
+    for beta, y0 in ((0.14, 0.16114919230521946), (0.29, 0.39001079904996),
+                     (0.58, 1.0981803787889), (0.9, 3.1702802299737)):
+        ys = y0 * np.array([0.5, 0.99, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.01,
+                            2.0, 10.0])
+        got = ml_e1_neg(beta, ys)
+        for g, y in zip(got, ys):
+            scale = y * series_reference(1.0, beta + 1.0, -y)
+            assert abs(g - series_reference(1.0, beta, -y)) <= 5e-9 * scale
+        assert got[1] > 0.0 > got[5]
+
+
+def test_ml_e1_neg_rows_match_one_beta_at_a_time():
+    # a sequence of betas, sharing contours below 2 and not above, gives
+    # one row per beta: the single-beta values to roundoff; 0.4 is formed
+    # from the row of 1.4
+    betas = [0.1, 0.4, 0.6, 1.0, 1.4, 2.0, 2.3, 2.9]
+    ys = np.array([0.0, 1e-9, 0.3, 2.0, 17.0, 250.0])
+    rows = ml_e1_neg(betas, ys)
+    assert rows.shape == (len(betas), len(ys))
+    for beta, row in zip(betas, rows):
+        np.testing.assert_allclose(row, ml_e1_neg(beta, ys), rtol=1e-13,
+                                   atol=0.0)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
