@@ -17,25 +17,31 @@ and its exact time-domain add-back:
    between the two samples around the arrival,
  * an exponential  c/(p+1/theta)  -> c e^(-s/theta) H(s): in 1D the
    jump-to-final ramp, c = v0 - v_inf; in 3D fitted to the 1/p content,
- * the fractional terms (1D)  sum_k C_k p^(e_k-1) sum_i A_i/(1+theta_i p)
+ * the fractional terms  sum_k C_k p^(e_k-1) sum_i A_i/(1+theta_i p)
                                         -> sum_k C_k sum_i A_i theta_i^(-e_k)
                                            phi_k(s/theta_i) H(s),
    phi_k(y) = y^(1-e_k) E_{1,2-e_k}(-y): the exact small-p expansion of
    the spectrum, whose powers p^(e_k-1) set the slow relaxation tail
    s^(-e_k) of media whose spectral density reaches r = 0.  For a solid,
-   q(p) = p v(p) - v_inf = (lam(y) - lam(0))/2
-   - x p lam(y) (lam(y) - 1/c_inf)/2 + O(p^2) with y = (tau p)^alpha and
-   lam = sqrt(rho/Q) a power series in y (Cole-Cole, Havriliak-Negami),
-   so the peel carries every non-integer k alpha and 1 + k alpha below 2,
-   from Taylor coefficients formed in floats by series arithmetic, and
-   bin 0 takes the exact p^1 coefficient c_lin; the first power left in
-   the remainder decays like s^-2 or faster.  For the power-law fluid
-   below, the e_k are the negative powers of its spectrum plus one.  One
-   peel carries every term over pole sums formed once.  Its poles make the
-   subtracted term flat to order s^(n-1-e_k) at the front for n poles
-   (the partial-fraction sums kill the p^(e_k-2) .. p^(e_k-n+1)
-   coefficients), so no artificial cusp is injected there: four for the
-   fluid, five for solids, whose e_k reach 2,
+   lam = L(y) = sqrt(rho/Q) is a power series in y = (tau p)^alpha
+   (Cole-Cole, Havriliak-Negami), with Taylor coefficients formed in
+   floats by series arithmetic, and beta = p (L - 1/c_inf).  In 1D,
+   q(p) = p v(p) - v_inf = (L(y) - L(0))/2
+   - x p L(y) (L(y) - 1/c_inf)/2 + O(p^2), so the peel carries every
+   non-integer k alpha and 1 + k alpha below 2, and bin 0 takes the exact
+   p^1 coefficient c_lin.  In 3D,
+   V3 = L(y)^2/(4 pi x) - p L(y)^2 (L(y) - 1/c_inf)/(4 pi) + O(p^2), so
+   the peel carries e_k = 1 + k alpha for every p^(k alpha) below p^1,
+   with the Taylor coefficients of L^2 over 4 pi x, and bin 0 keeps the
+   exact 1/(4 pi x c0^2).  In both, the first power left in the remainder
+   decays like s^-2 or faster.  For the power-law fluid below, the e_k
+   are the negative powers of its spectrum plus one.  One peel carries
+   every term over pole sums formed once.  Its poles make the subtracted
+   term flat to order s^(n-1-e_k) at the front for n poles (the
+   partial-fraction sums kill the p^(e_k-2) .. p^(e_k-n+1) coefficients),
+   so no artificial cusp is injected there: four for the fluid, five for
+   solids, whose e_k reach 2; a solid's peel then leaves p^(e_k-5)
+   content at high rates, below the p^-1 and p^-2 the fits read,
  * a residual second-order term  j1/((p+la)(p+lb))
                                         -> j1 (e^(-la s) - e^(-lb s)) /
                                            (lb - la) H(s),
@@ -56,17 +62,20 @@ causality tolerance, and the core raises SpectralDecayError when it does
 not, a NaN included.
 
 The cost is the n_samples * pad_factor / 2 spectrum bins: pad 64 for
-algebraic tails in 1D and 256 in 3D, 32 otherwise, so 131k bins for a
-Cole-Cole or Havriliak-Negami 1D synthesis at n = 4096 and 1M in 3D at
-n = 8192.  The exact small-p peels leave a tail that decays like s^-2 or
-faster, where the fitted p^sig and p^(2 sig) peels left s^(-2 sig) and a
-pad of 256 (524k bins) was needed to push it down; on a 2-vCPU host a
-Cole-Cole 1D synthesis at verify's settings (x = 16 c_inf tau,
-n = 4096) takes 0.065 to 0.075 s instead of 0.13 to 0.18 s, and its
-error against a Talbot inversion is at most 3.6e-7 of the peak instead
-of 2.5e-6 (a 1.5, alpha 0.4).  The fractional add-back evaluates all
-terms' E_{1,2-e_k} of one pole in one Mittag-Leffler call, whose contour
-nodes they share.
+algebraic tails in both dimensions, 32 otherwise, so 131k bins for a
+Cole-Cole or Havriliak-Negami 1D synthesis at n = 4096 and 262k in 3D
+at n = 8192.  The exact small-p peels leave a tail that decays like s^-2
+or faster, where the fitted p^sig and p^(2 sig) peels left s^(-2 sig) in
+1D, the unpeeled p^sig term left s^(-1 - sig) in 3D, and a pad of 256
+was needed to push them down.  On a 2-vCPU host, one CPU, a Cole-Cole 1D
+synthesis at verify's settings (x = 16 c_inf tau, n = 4096) takes 0.065
+to 0.075 s instead of 0.13 to 0.18 s, and its error against a Talbot
+inversion is at most 3.6e-7 of the peak instead of 2.5e-6 (a 1.5,
+alpha 0.4); a Cole-Cole or Havriliak-Negami 3D synthesis at n = 8192
+takes 0.11 s instead of 0.25 to 0.29 s, and at verify's settings its
+error against Talbot reads 7e-9 to 3e-8 of the peak instead of 7e-8 to
+4.1e-6.  The fractional add-back evaluates all terms' E_{1,2-e_k} of one
+pole in one Mittag-Leffler call, whose contour nodes they share.
 Every bin lies on the ray p = -i omega, so the powers (tau p)^alpha of
 beta and p^(e_k-1) of the fractional peel are one real power times one
 scalar phase, and the Havriliak-Negami factor (1 + x)^-gamma is taken in
@@ -85,8 +94,8 @@ arithmetic, and waveforms agree with the plain complex evaluation to
 roundoff (6e-16 of the peak); the small-p fit at p = 1e-12 r_scale, which
 moved a waveform by up to 1e-7 of its peak for one ulp of beta, is gone.
 Measured on a 2-vCPU host against one full-length pass per step (the same
-bits): a Cole-Cole 3D synthesis takes 0.26 s instead of 0.35 s over 1M
-bins, where it peaks at 34 MB of arrays instead of 92 MB.
+bits): a Cole-Cole 3D synthesis over 1M bins (pad 256) took 0.26 s
+instead of 0.35 s, and peaked at 34 MB of arrays instead of 92 MB.
 
 Media with G_inf = 0 have no final-value step.  Of those, the 1D
 power-law fluid (the strongly singular regime, kappa = C p^g with no
@@ -132,9 +141,10 @@ __all__ = [
 ]
 
 _THETA_FRACTION = 40.0    # ramp timescale = period / this
-_FRAC_FRACTION = 2.0      # 1D fractional-peel timescale = T / this
+_FRAC_FRACTION = 2.0      # solids' fractional-peel timescale = T / this
 _FLUID_FRACTION = 64.0    # ... and the power-law fluid's
 _EXP_TOL = 1e-9           # exponents this close are equal
+_FRAC_FLAT = 1e-5         # fractional add-back is 0 below this x min theta_i
 _KINK_SAMPLES = 30.0      # short-peel timescale, in samples
 _ALIAS_LIMIT = 1e-4       # raise when the wrapped tail exceeds this x peak
 _FIT_RATIO = 1e3          # real-axis fit rate / largest synthesis rate
@@ -162,8 +172,9 @@ def _frac_poles(theta_f: float, n_poles: int):
     tail to O((theta_f/s)^2) relative.  Four poles serve the power-law
     fluid's exponents e < 1.  A solid's reach e < 2, and with four poles
     their s^(3-e) front rings on the grid (2.9e-6 of the peak three samples
-    after the front, Havriliak-Negami at verify's settings), so solids take
-    five.
+    after the front, Havriliak-Negami 1D at verify's settings), so solids
+    take five, in 1D and 3D; the p^(e-5) they leave at high rates lies
+    below the p^-1 and p^-2 terms of the 3D real-axis fits.
     """
     thetas = theta_f * 0.5 ** np.arange(n_poles)
     rows = np.array([thetas ** -j for j in range(n_poles - 1)] + [thetas])
@@ -190,10 +201,10 @@ class Waveform:
     the number of spectrum ``bins`` evaluated (n_samples * pad_factor / 2)
     and ``alias_ratio``, the wrapped tail over the peak, against
     ``alias_limit``, above which the synthesis raises SpectralDecayError;
-    in 1D also the small-p terms peeled, ``peel_exponents`` e_k and
-    ``peel_coefficients`` (of p^e_k in p v(p)), the p^1 coefficient
-    ``c_lin`` in bin 0 and the fractional-peel timescale
-    ``frac_timescale``.
+    also the small-p terms peeled, ``peel_exponents`` e_k and
+    ``peel_coefficients`` (of p^e_k in p v(p) in 1D, of p^(e_k - 1) in
+    the 3D spectrum), and the fractional-peel timescale
+    ``frac_timescale``; in 1D the p^1 coefficient ``c_lin`` in bin 0.
     """
 
     time_grid: np.ndarray
@@ -315,6 +326,42 @@ def _series_power(f, r: float, n: int) -> np.ndarray:
     return g
 
 
+def _lam_series(model, n: int) -> np.ndarray:
+    """Taylor coefficients 0..n-1 of L = lam = sqrt(rho/Q) in y = (tau p)^alpha
+    for Cole-Cole and the SLS, sqrt(rho/G_inf) (1 + y)^(1/2) (1 + a y)^(-1/2),
+    and for Havriliak-Negami and Cole-Davidson,
+    sqrt(rho/G0) (1 - b (1 + y)^-gamma)^(-1/2)."""
+    if isinstance(model, (ColeCole, StandardLinearSolid)):
+        # Q = G_inf (1 + a y)/(1 + y)
+        return math.sqrt(model.rho / model.g_inf) * np.convolve(
+            _series_power(np.array([1.0, 1.0]), 0.5, n),
+            _series_power(np.array([1.0, model.a]), -0.5, n))[:n]
+    # Q = G0 (1 - b (1 + y)^-gamma)
+    f = -model.b * _series_power(np.array([1.0, 1.0]), -model.gamma, n)
+    f[0] = 1.0 - model.b
+    return math.sqrt(model.rho / model.g0) * _series_power(f, -0.5, n)
+
+
+def _merge_terms(powers):
+    """The (exponent, coefficient) pairs of ``powers`` whose exponent is not
+    an integer and lies below 2, equal exponents merged, and the summed
+    coefficient of p^1."""
+    terms, c_lin = [], 0.0
+    for e, c in powers:
+        if e > 2.0 - _EXP_TOL:
+            continue
+        if abs(e - 1.0) <= _EXP_TOL:
+            c_lin += c
+            continue
+        for i, (e_i, c_i) in enumerate(terms):
+            if abs(e - e_i) <= _EXP_TOL:
+                terms[i] = (e_i, c_i + c)
+                break
+        else:
+            terms.append((e, c))
+    return terms, c_lin
+
+
 def _small_p_terms(model, x: float, c0: float):
     """The exact small-p expansion of q(p) = p V(p) - 1/(2 c0) of the 1D
     spectrum V = lam exp(-beta x)/(2 p): its fractional terms and c_lin.
@@ -336,36 +383,38 @@ def _small_p_terms(model, x: float, c0: float):
             - 0.5 * x / c0 * (1.0 / c0 - 1.0 / c_inf)
     alpha = getattr(model, "alpha", 1.0)
     n = int(2.0 / alpha) + 1
-    if isinstance(model, (ColeCole, StandardLinearSolid)):
-        # Q = G_inf (1 + a y)/(1 + y)
-        ell = math.sqrt(model.rho / model.g_inf) * np.convolve(
-            _series_power(np.array([1.0, 1.0]), 0.5, n),
-            _series_power(np.array([1.0, model.a]), -0.5, n))[:n]
-    else:
-        # Q = G0 (1 - b (1 + y)^-gamma)
-        f = -model.b * _series_power(np.array([1.0, 1.0]), -model.gamma, n)
-        f[0] = 1.0 - model.b
-        ell = math.sqrt(model.rho / model.g0) * _series_power(f, -0.5, n)
+    ell = _lam_series(model, n)
     m = np.convolve(ell, ell)[:n] - ell / c_inf
     scale = model.tau ** (alpha * np.arange(n))
-    powers = [(k * alpha, float(0.5 * ell[k] * scale[k]))
-              for k in range(1, n)] \
+    return _merge_terms(
+        [(k * alpha, float(0.5 * ell[k] * scale[k])) for k in range(1, n)]
         + [(1.0 + k * alpha, float(-0.5 * x * m[k] * scale[k]))
-           for k in range(n)]
-    terms, c_lin = [], 0.0
-    for e, c in powers:
-        if e > 2.0 - _EXP_TOL:
-            continue
-        if abs(e - 1.0) <= _EXP_TOL:
-            c_lin += c
-            continue
-        for i, (e_i, c_i) in enumerate(terms):
-            if abs(e - e_i) <= _EXP_TOL:
-                terms[i] = (e_i, c_i + c)
-                break
-        else:
-            terms.append((e, c))
-    return terms, c_lin
+           for k in range(n)])
+
+
+def _small_p_terms3d(model, x: float):
+    """The fractional terms of the exact small-p expansion of the 3D
+    spectrum V3 = lam^2 exp(-beta x)/(4 pi x), as (exponent, coefficient)
+    pairs of the 1D convention: e = 1 + k alpha for p^(k alpha).
+
+    With L = lam a series in y = (tau p)^alpha and beta = p (L - 1/c_inf),
+
+        V3 = L(y)^2/(4 pi x) - p L(y)^2 (L(y) - 1/c_inf)/(4 pi) + O(p^2),
+
+    so every k alpha below 1 comes from the Taylor coefficients of L^2
+    alone, with coefficient (L^2)_k tau^(k alpha)/(4 pi x); the p^0 term
+    1/(4 pi x c0^2) is bin 0's.  A medium with an analytic beta (a
+    finite band, elastic) has none.
+    """
+    if isinstance(model, MeasureMedium):
+        return []
+    alpha = getattr(model, "alpha", 1.0)
+    n = int(1.0 / alpha) + 1
+    ell = _lam_series(model, n)
+    ell2 = np.convolve(ell, ell)[:n]
+    scale = model.tau ** (alpha * np.arange(n)) / (4.0 * math.pi * x)
+    return _merge_terms([(1.0 + k * alpha, float(ell2[k] * scale[k]))
+                         for k in range(1, n)])[0]
 
 
 @dataclass(frozen=True)
@@ -433,7 +482,14 @@ def _frac_peel(terms, thetas, weights):
     betas = np.array([2.0 - e for e, _ in terms])
 
     def time(s):
-        nz = s > 0.0
+        # the add-back is flat at the front, to (s/theta_i)^(n-1-e_k) for n
+        # poles, but its pole terms' s^(1-e_k) parts cancel only to the
+        # rounding of the weights, which a sample a few ulps of the arrival
+        # away (T = 4 x/c_inf puts one there) would read at up to 2e-2 of
+        # the peak: below _FRAC_FLAT theta_min, where the flat value read at
+        # most 2e-12 of the peak and the rounding 3e-11 in the draws
+        # measured, it is 0
+        nz = s > _FRAC_FLAT * min(thetas)
         ys = [s[nz] / th_i for th_i in thetas]
         rows = [ml_e1_neg(betas, y) for y in ys]
         out = np.zeros_like(s)
@@ -504,7 +560,7 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
     measure, c_inf, c0 = model.spectral_measure(), model.c_inf, model.c0
     sing = _sing_exponent(measure)
     if pad_factor is None:
-        pad_factor = 32 if sing is None else 64 if dim == 1 else 256
+        pad_factor = 32 if sing is None else 64
     if c0 is None:
         if dim == 3:
             raise NotImplementedError("3D synthesis requires G_inf > 0")
@@ -523,32 +579,35 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
     lb = la / 2.0
 
     front = math.exp(-beta_at_infinity(model) * x)
-    diagnostics = {"pad_factor": pad_factor, "bins": n_full // 2}
-    if dim == 1:
-        if c0 is None:
-            dc_step = 0.0
-            terms, dc = _fluid_terms(model, x)
-            theta_f, n_poles = T / _FLUID_FRACTION, 4
-            peels = []
-        else:
-            dc_step = 0.5 / c0
-            terms, dc = _small_p_terms(model, x, c0)
-            theta_f, n_poles = T / _FRAC_FRACTION, 5
-            peels = [_step_peel(dc_step),
-                     _exp_peel(0.5 * front / c_inf - dc_step, theta)]
-        if terms:
-            peels.append(_frac_peel(terms, *_frac_poles(theta_f, n_poles)))
-        front_delta = 0.0
-        fit_orders = () if c0 is None else (2,)
-        diagnostics.update(peel_exponents=[e for e, _ in terms],
-                           peel_coefficients=[c for _, c in terms],
-                           c_lin=dc, frac_timescale=theta_f)
+    front_delta = 0.0
+    if c0 is None:
+        dc_step = 0.0
+        terms, dc = _fluid_terms(model, x)
+        peels = []
+        fit_orders = ()
+    elif dim == 1:
+        dc_step = 0.5 / c0
+        terms, dc = _small_p_terms(model, x, c0)
+        peels = [_step_peel(dc_step),
+                 _exp_peel(0.5 * front / c_inf - dc_step, theta)]
+        fit_orders = (2,)
     else:
         dc_step = 0.0
+        terms = _small_p_terms3d(model, x)
         dc = 1.0 / (4.0 * math.pi * x * c0 ** 2)
         peels = []
         front_delta = front / (4.0 * math.pi * x * c_inf ** 2)
         fit_orders = (1, 2)
+    theta_f, n_poles = (T / _FLUID_FRACTION, 4) if c0 is None \
+        else (T / _FRAC_FRACTION, 5)
+    if terms:
+        peels.append(_frac_peel(terms, *_frac_poles(theta_f, n_poles)))
+    diagnostics = {"pad_factor": pad_factor, "bins": n_full // 2,
+                   "peel_exponents": [e for e, _ in terms],
+                   "peel_coefficients": [c for _, c in terms]}
+    if dim == 1:
+        diagnostics["c_lin"] = dc
+    diagnostics["frac_timescale"] = theta_f
 
     def strip(rem, p):
         """rem, the spectrum at p, less the front delta and every peel."""
@@ -633,8 +692,9 @@ def green3d(model, x: float, n_samples: int, T: float, taper: bool = True,
 
     Media with finite spectral mass carry a genuine delta at the front; it
     is added as a single-sample spike of the analytically known area.
-    ``pad_factor`` defaults to 256 for media with an algebraic relaxation
-    tail and 32 otherwise."""
+    ``pad_factor`` defaults to 64 for media with an algebraic relaxation
+    tail (Cole-Cole, Havriliak-Negami), whose small-p powers below p^1 are
+    peeled exactly, and 32 otherwise."""
     return _synthesize(model, x, n_samples, T, taper, pad_factor, dim=3)
 
 
@@ -658,6 +718,8 @@ def wavefront_smoothness(w: Waveform, order: int = 3) -> dict[int, float]:
     anywhere in the waveform (order 0 uses the 4-sample straddle
     |u[k+2] - u[k-2]| against the global peak).  A discontinuous front
     scores near 1 at every order; a smoothed front scores near 0.
+    Raises ValueError when the front lies so close to either end of the
+    grid that a stencil would leave it.
     """
     if w.wavefront_time is None:
         raise ValueError("waveform has no wavefront")
@@ -665,11 +727,18 @@ def wavefront_smoothness(w: Waveform, order: int = 3) -> dict[int, float]:
         raise ValueError("order must be in 0..3")
     k_f = int(round(w.wavefront_time / w.dt))
     u = w.samples
+    n = len(u)
+    # order 0 reads u[k_f - 2 .. k_f + 2]; order k reads d[c - 1 .. c + 1]
+    # of the n - k differences d, c = k_f - (k + 1)//2
+    centers = {k: k_f - (k + 1) // 2 for k in range(1, order + 1)}
+    if not (2 <= k_f <= n - 3
+            and all(1 <= c <= n - k - 2 for k, c in centers.items())):
+        raise ValueError(f"wavefront sample {k_f} too close to the ends of "
+                         f"the {n}-sample grid for order {order}")
     out: dict[int, float] = {}
     out[0] = float(abs(u[k_f + 2] - u[k_f - 2]) / np.max(np.abs(u)))
-    for k in range(1, order + 1):
+    for k, center in centers.items():
         d = np.diff(u, k)
-        center = k_f - (k + 1) // 2
-        window = d[max(center - 1, 0):center + 2]
+        window = d[center - 1:center + 2]
         out[k] = float(np.max(np.abs(window)) / np.max(np.abs(d)))
     return out

@@ -146,6 +146,23 @@ def test_greens_csv(tmp_path):
     assert np.max(np.abs(pre[:, 1])) <= 1e-6 * np.max(np.abs(rows[:, 1]))
 
 
+def test_greens_3d_records_its_peel(tmp_path):
+    # a Cole-Cole 3D synthesis peels p^(k alpha) of lam^2 exactly
+    # (alpha = 1/2: e = 1 + alpha) at pad 64, and says so in its header
+    out = tmp_path / "g3.csv"
+    assert main(["greens", *CC_ARGS, "--x", "8e-9", "--T", "6.4e-12",
+                 "--n", "4096", "--dim", "3", "-o", str(out)]) == 0
+    meta = [line for line in out.read_text().splitlines()
+            if line.startswith("# diag_")]
+    diag = dict(m[2:].split("=", 1) for m in meta)
+    assert json.loads(diag["diag_peel_exponents"]) == [1.5]
+    assert len(json.loads(diag["diag_peel_coefficients"])) == 1
+    assert float(diag["diag_frac_timescale"]) == 3.2e-12
+    assert diag["diag_pad_factor"] == "64"
+    assert diag["diag_bins"] == str(4096 * 64 // 2)
+    assert "diag_c_lin" not in diag
+
+
 def test_verify_pass_and_fail(tmp_path):
     out = tmp_path / "rep.json"
     rc = main(["verify", "--model", "sls", "--a", "1.5", "--tau", "1e-13",

@@ -137,6 +137,25 @@ def test_wavefront_smoothness_separates_regimes():
     assert wavefront_smoothness(w_el, 0)[0] >= 0.9
 
 
+@pytest.mark.parametrize("k_front", [1, 4094])
+def test_wavefront_smoothness_stays_on_the_grid(k_front):
+    # a front at sample 1 would read u[-1], the end of the grid, and one
+    # at n - 2 would read past it: both are refused at every order
+    n = 4096
+    t = np.arange(n) * 1e-9
+    step = Waveform(time_grid=t, samples=np.where(t >= t[k_front], 1.0, 0.0),
+                    x=1.0, wavefront_time=float(t[k_front]),
+                    dc_step_amplitude=1.0)
+    for order in range(4):
+        with pytest.raises(ValueError, match="too close to the ends"):
+            wavefront_smoothness(step, order)
+    # two samples further in, every stencil fits and the jump scores 1
+    inner = 3 if k_front == 1 else n - 3
+    step.wavefront_time = float(t[inner])
+    step.samples = np.where(t >= t[inner], 1.0, 0.0)
+    assert wavefront_smoothness(step, 3)[0] == 1.0
+
+
 def test_strongly_singular_no_gap():
     fluid = MeasureMedium(cw.make_powerlaw_measure(0.0065, 0.75),
                           c_inf=math.inf)
@@ -266,18 +285,23 @@ def test_waveform_csv_roundtrip(tmp_path):
         == buf.getvalue()
 
 
-@pytest.mark.parametrize("synth", [green1d, green3d])
-def test_spectral_decay_error_raised(synth):
+@pytest.mark.parametrize("synth, pad", [(green1d, 8), (green3d, 1)],
+                         ids=["green1d", "green3d"])
+def test_spectral_decay_error_raised(synth, pad):
     from cmwave.greens import SpectralDecayError
 
     # extreme fractional content at minimal padding cannot reach the
     # aliasing tolerance; the synthesis must refuse rather than return a
-    # polluted waveform
+    # polluted waveform.  In 3D the exact small-p peel leaves a remainder
+    # that decays like s^(-2 - alpha), and at pad 8 it wraps to 1.7e-5 of
+    # the peak, inside the tolerance; with no padding at all (pad 1) the
+    # period is the window itself, the remainder is still 5e-3 of the peak
+    # at its end, and that wraps onto the front
     hn = cw.HavriliakNegami(b=0.5, alpha=0.3, gamma=0.9, tau=1e-13,
                             g0=RHO * C_INF ** 2, rho=RHO)
     x = 16 * hn.c_inf * hn.tau
     with pytest.raises(SpectralDecayError):
-        synth(hn, x=x, n_samples=4096, T=4 * x / hn.c_inf, pad_factor=8)
+        synth(hn, x=x, n_samples=4096, T=4 * x / hn.c_inf, pad_factor=pad)
 
 
 def test_cd_gamma_one_keeps_the_front_jump():
@@ -330,10 +354,12 @@ def _peel_reference(name, args, p):
 def test_bins_match_the_complex_arithmetic_spectrum(monkeypatch, family,
                                                     synth):
     # every peel the synthesis builds, and its spectrum, on the bins
-    # p = -i omega, against the plain complex expressions; the fractional
-    # peel carries every non-integer k alpha and 1 + k alpha below 2:
-    # 0.4, 0.8, 1.2, 1.6, 1.4 and 1.8 for Cole-Cole with alpha = 0.4, and
-    # alpha, 2 alpha and 1 + alpha for Havriliak-Negami with alpha = 1/1.3
+    # p = -i omega, against the plain complex expressions; in 1D the
+    # fractional peel carries every non-integer k alpha and 1 + k alpha
+    # below 2: 0.4, 0.8, 1.2, 1.6, 1.4 and 1.8 for Cole-Cole with
+    # alpha = 0.4, and alpha, 2 alpha and 1 + alpha for Havriliak-Negami
+    # with alpha = 1/1.3; in 3D every 1 + k alpha below 2: 1.4 and 1.8, and
+    # 1 + alpha
     import cmwave.greens as greens
 
     x = 1e-3
@@ -352,16 +378,14 @@ def test_bins_match_the_complex_arithmetic_spectrum(monkeypatch, family,
     T = 4 * x / model.c_inf
     synth(model, x=x, n_samples=4096, T=T)
     dim = 1 if synth is green1d else 3
-    expect = {"_exp_peel", "_kink_peel"} if dim == 3 else \
+    expect = {"_exp_peel", "_kink_peel", "_frac_peel"} if dim == 3 else \
         {"_step_peel", "_exp_peel", "_kink_peel", "_frac_peel"}
     assert {name for name, _, _ in built} == expect
-    if dim == 1:
-        terms = next(args for name, args, _ in built
-                     if name == "_frac_peel")[0]
-        assert len(terms) == (6 if family == "cc" else 3)
+    terms = next(args for name, args, _ in built if name == "_frac_peel")[0]
+    assert len(terms) == {(1, "cc"): 6, (1, "hn"): 3,
+                          (3, "cc"): 2, (3, "hn"): 1}[dim, family]
 
-    pad = 64 if dim == 1 else 256
-    p = -1j * greens._bins(4096 * pad, T / 4096, 1, 4096 * pad // 2 + 1)
+    p = -1j * greens._bins(4096 * 64, T / 4096, 1, 4096 * 64 // 2 + 1)
     for name, args, peel in built:
         out = np.zeros_like(p)
         peel.subtract(out, p)
@@ -394,10 +418,18 @@ def test_waveform_diagnostics():
     assert isinstance(d["c_lin"], float) and d["c_lin"] < 0.0
     assert d["frac_timescale"] == T / 2
 
-    # 3D keeps its real-axis fits and pad 256, and records no peels
+    # 3D peels p^(k alpha) of lam^2 as e = 1 + k alpha below 2 (alpha = 1/2:
+    # e = 1.5), at pad 64 and the same timescale; bin 0 is exact, no c_lin
     w3 = green3d(cc, x=x, n_samples=4096, T=T)
-    assert w3.diagnostics["pad_factor"] == 256
-    assert "peel_exponents" not in w3.diagnostics
+    d3 = w3.diagnostics
+    assert d3["pad_factor"] == 64
+    assert d3["bins"] == 4096 * 64 // 2
+    assert d3["peel_exponents"] == [1.5]
+    assert len(d3["peel_coefficients"]) == 1
+    assert all(isinstance(c, float) for c in d3["peel_coefficients"])
+    assert d3["frac_timescale"] == T / 2
+    assert "c_lin" not in d3
+    assert 0.0 < d3["alias_ratio"] < d3["alias_limit"]
     w3 = green3d(cc, x=x, n_samples=4096, T=T, pad_factor=1024)
     assert w3.diagnostics["pad_factor"] == 1024
     assert w3.diagnostics["bins"] == 4096 * 1024 // 2
@@ -410,10 +442,11 @@ def test_waveform_diagnostics():
                                          rho=RHO),
                   cw.ColeDavidson(b=0.5, gamma=0.5, tau=2e-6,
                                   g0=RHO * C_INF ** 2, rho=RHO)):
-        ds = green1d(solid, x=0.05, n_samples=4096,
-                     T=0.2 / C_INF).diagnostics
-        assert ds["pad_factor"] == 32
-        assert ds["peel_exponents"] == []
+        for synth in (green1d, green3d):
+            ds = synth(solid, x=0.05, n_samples=4096,
+                       T=0.2 / C_INF).diagnostics
+            assert ds["pad_factor"] == 32
+            assert ds["peel_exponents"] == []
 
     fluid = MeasureMedium(cw.make_powerlaw_measure(0.0065, 0.75),
                           c_inf=math.inf)
@@ -463,9 +496,9 @@ def test_waveforms_do_not_depend_on_the_block_size(monkeypatch, case):
         assert w.diagnostics == ref.diagnostics
 
 
-def test_synthesis_array_peak():
-    # a 1M-bin Cole-Cole 3D synthesis holds the irfft input and output
-    # (16 MB each) plus one block's temporaries, not full-length ones
+def _cc3d_array_peak(pad_factor):
+    """The tracemalloc peak of a Cole-Cole 3D synthesis at n = 8192, and
+    its bins."""
     import tracemalloc
 
     x = 1e-3
@@ -473,12 +506,29 @@ def test_synthesis_array_peak():
                      rho=RHO)
     tracemalloc.start()
     try:
-        w = green3d(cc, x=x, n_samples=8192, T=4 * x / C_INF)
+        w = green3d(cc, x=x, n_samples=8192, T=4 * x / C_INF,
+                    pad_factor=pad_factor)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert w.diagnostics["bins"] == 8192 * 256 // 2
+    return peak, w.diagnostics["bins"]
+
+
+def test_synthesis_array_peak():
+    # a 1M-bin synthesis (pad 256) holds the irfft input and output
+    # (16 MB each) plus one block's temporaries, not full-length ones
+    peak, bins = _cc3d_array_peak(256)
+    assert bins == 8192 * 256 // 2
     assert peak <= 48e6
+
+
+def test_synthesis_array_peak_at_the_default_pad():
+    # at the default pad 64, 262k bins, the irfft input and output take
+    # 4 MB each; one block's temporaries and the add-back's Mittag-Leffler
+    # rows are the rest
+    peak, bins = _cc3d_array_peak(None)
+    assert bins == 8192 * 64 // 2
+    assert peak <= 24e6
 
 
 def _verify_settings(model):
@@ -498,9 +548,10 @@ def _mp_lam_of_y(model, y):
     return mpmath.sqrt(model.rho / q)
 
 
-def _talbot_green1d(model, x, s):
-    """v1 at s after the wavefront: the Talbot inversion of
-    lam exp(-beta x)/(2 p), beta = p (lam - 1/c_inf), at 30 digits."""
+def _talbot_green(model, x, s, dim):
+    """v1 (dim 1) or v3 (dim 3) at s after the wavefront: the Talbot
+    inversion of lam exp(-beta x)/(2 p) or lam^2 exp(-beta x)/(4 pi x),
+    beta = p (lam - 1/c_inf), at 30 digits."""
     import mpmath
 
     alpha = mpmath.mpf(getattr(model, "alpha", 1.0))
@@ -508,10 +559,27 @@ def _talbot_green1d(model, x, s):
 
     def spectrum(p):
         lam = _mp_lam_of_y(model, (mpmath.mpf(model.tau) * p) ** alpha)
-        return lam * mpmath.exp(-p * (lam - slow) * x) / (2 * p)
+        decay = mpmath.exp(-p * (lam - slow) * x)
+        if dim == 1:
+            return lam * decay / (2 * p)
+        return lam ** 2 * decay / (4 * mpmath.pi * x)
 
     with mpmath.workdps(30):
         return float(mpmath.invertlaplace(spectrum, s, method="talbot"))
+
+
+def _assert_matches_talbot(model, dim, rel):
+    """The synthesis at verify's settings against the Talbot inversion at
+    1, 4, 10, 20 and 40 tau after the front, to ``rel`` of the peak."""
+    x, n, T = _verify_settings(model)
+    w = (green1d if dim == 1 else green3d)(model, x=x, n_samples=n, T=T)
+    peak = np.max(np.abs(w.samples))
+    k_front = math.ceil(w.wavefront_time / w.dt)
+    for s_tau in (1.0, 4.0, 10.0, 20.0, 40.0):
+        k = k_front + round(s_tau * model.tau / w.dt)
+        s = w.time_grid[k] - w.wavefront_time
+        ref = _talbot_green(model, x, s, dim)
+        assert abs(w.samples[k] - ref) <= rel * peak, s_tau
 
 
 @pytest.mark.parametrize("model", [
@@ -529,15 +597,45 @@ def test_green1d_matches_talbot_after_the_front(model):
     # after the front (closer in, Talbot itself fails for alpha = 0.2);
     # with the small-p tail fitted rather than peeled, Cole-Cole 0.53 was
     # off by a flat 1.2e-5 of the peak
-    x, n, T = _verify_settings(model)
-    w = green1d(model, x=x, n_samples=n, T=T)
-    peak = np.max(np.abs(w.samples))
-    k_front = math.ceil(w.wavefront_time / w.dt)
-    for s_tau in (1.0, 4.0, 10.0, 20.0, 40.0):
-        k = k_front + round(s_tau * model.tau / w.dt)
-        s = w.time_grid[k] - w.wavefront_time
-        ref = _talbot_green1d(model, x, s)
-        assert abs(w.samples[k] - ref) <= 1e-5 * peak, s_tau
+    _assert_matches_talbot(model, 1, 1e-5)
+
+
+@pytest.mark.parametrize("model", [
+    cw.ColeCole(a=1.5, alpha=0.2, tau=1e-13, g_inf=G_INF, rho=RHO),
+    cw.ColeCole(a=1.5, alpha=0.4, tau=1e-13, g_inf=G_INF, rho=RHO),
+    cw.ColeCole(a=1.65, alpha=0.53, tau=1e-13,
+                g_inf=RHO * C_INF ** 2 / 1.65, rho=RHO),
+    cw.HavriliakNegami(b=0.5, alpha=1 / 1.3, gamma=0.65, tau=1e-13,
+                       g0=RHO * C_INF ** 2, rho=RHO),
+], ids=["cc-0.2", "cc-0.4", "cc-0.53", "hn"])
+def test_green3d_matches_talbot_after_the_front(model):
+    # the 3D synthesis at verify's settings; with the small-p tail fitted
+    # rather than peeled, at pad 256, Cole-Cole 0.2 and 0.4 were off by a
+    # flat 4.1e-6 and 1.2e-6 of the peak, and the peel reads 3e-8 or less
+    _assert_matches_talbot(model, 3, 1e-6)
+
+
+@pytest.mark.parametrize("synth, a, alpha, tau, c_inf, x, n", [
+    (green1d, 1.4904714807984418, 0.397555550673278, 8.141453573916591e-07,
+     5020.862251170911, 0.03662589675936873, 4096),
+    (green3d, 1.3169130854657851, 0.3812379124283325, 1.4302904029012982e-07,
+     5448.360570590012, 0.006982293100752019, 8192),
+], ids=["1d", "3d"])
+def test_a_sample_ulps_after_the_arrival_reads_no_spike(synth, a, alpha, tau,
+                                                        c_inf, x, n):
+    # T = 4 x/c_inf puts the arrival within rounding of a sample: here
+    # sample k + 1 lies 2e-13 dt and 4e-13 dt after it, where the
+    # fractional add-back's pole terms cancel only to the rounding of their
+    # weights (1.7e-2 of the peak in 1D, 1.1e-5 in 3D, before it was set to
+    # its flat value there); that sample lies on the smooth front
+    model = cw.ColeCole(a=a, alpha=alpha, tau=tau,
+                        g_inf=(c_inf / math.sqrt(a)) ** 2)
+    T = 4 * x / c_inf
+    w = synth(model, x=x, n_samples=n, T=T)
+    k = math.floor(w.wavefront_time / w.dt)
+    assert 0.0 < (k + 1) * w.dt - w.wavefront_time < 1e-12 * w.dt
+    u = w.samples
+    assert abs(u[k + 1] - (u[k] + u[k + 2]) / 2) <= 1e-6 * np.max(np.abs(u))
 
 
 def _mp_small_p_terms(model, x):
@@ -565,6 +663,24 @@ def _mp_small_p_terms(model, x):
     return out
 
 
+def _mp_small_p_terms3d(model, x):
+    """The exponents e = 1 + k alpha and coefficients of the terms
+    p^(k alpha), 0 < k alpha < 1, of the 3D spectrum, from mpmath Taylor
+    coefficients of lam(y)^2/(4 pi x) in y = (tau p)^alpha.  Returns
+    {exponent rounded to 9 digits: coefficient}."""
+    import mpmath
+
+    alpha = getattr(model, "alpha", 1.0)
+    n = int(1.0 / alpha) + 1
+    with mpmath.workdps(40):
+        ell2 = mpmath.taylor(lambda y: _mp_lam_of_y(model, y) ** 2
+                             / (4 * mpmath.pi * x), 0, n - 1)
+        return {round(1 + k * alpha, 9):
+                float(ell2[k] * mpmath.mpf(model.tau)
+                      ** (k * mpmath.mpf(alpha)))
+                for k in range(1, n) if k * alpha < 1 - 1e-9}
+
+
 @pytest.mark.parametrize("model", [
     cw.ColeCole(a=1.5, alpha=0.4, tau=1e-13, g_inf=G_INF, rho=RHO),
     cw.ColeCole(a=1.65, alpha=0.53, tau=1e-13,
@@ -580,7 +696,8 @@ def _mp_small_p_terms(model, x):
 ], ids=["cc-0.4", "cc-0.53", "cc-0.5", "hn", "hn-0.81", "sls", "cd"])
 def test_small_p_terms_are_the_taylor_coefficients(model):
     # the float series arithmetic against 40-digit Taylor coefficients:
-    # every peeled exponent, and c_lin, the exact p^1 coefficient in bin 0
+    # every peeled exponent, and c_lin, the exact p^1 coefficient in bin 0,
+    # of the 1D spectrum, and every peeled exponent of the 3D one
     x, n, T = _verify_settings(model)
     d = green1d(model, x=x, n_samples=n, T=T).diagnostics
     want = _mp_small_p_terms(model, x)
@@ -591,6 +708,14 @@ def test_small_p_terms_are_the_taylor_coefficients(model):
     assert got.keys() == want.keys()
     for e, c in want.items():
         assert got[e] == pytest.approx(c, rel=1e-11), e
+    # 3D: the p^(k alpha) terms of lam^2/(4 pi x), below p^1
+    d3 = green3d(model, x=x, n_samples=n, T=T).diagnostics
+    want3 = _mp_small_p_terms3d(model, x)
+    got3 = dict(zip((round(e, 9) for e in d3["peel_exponents"]),
+                    d3["peel_coefficients"]))
+    assert got3.keys() == want3.keys()
+    for e, c in want3.items():
+        assert got3[e] == pytest.approx(c, rel=1e-11), e
 
 
 def test_finite_band_c_lin_is_the_second_inverse_moment():
