@@ -15,8 +15,13 @@ and its exact time-domain add-back:
  * the final-value pole (1D)  v_inf/p  -> v_inf * H(s),
  * the front delta (3D)  c_delta  -> c_delta delta(s), a spike split
    between the two samples around the arrival,
- * an exponential  c/(p+1/theta)  -> c e^(-s/theta) H(s): in 1D the
-   jump-to-final ramp, c = v0 - v_inf; in 3D fitted to the 1/p content,
+ * an exponential  c/(p+1/theta)  -> c e^(-s/theta) H(s), the rest of
+   the spectrum's 1/p term: in 1D the jump-to-final ramp, c = v0 - v_inf,
+ * a second-order term  j1/((p+la)(p+lb))
+                                        -> j1 (e^(-la s) - e^(-lb s)) /
+                                           (lb - la) H(s),
+   with short timescales, carrying the 1/p^2 term the exponential leaves:
+   the slope kink at the front,
  * the fractional terms  sum_k C_k p^(e_k-1) sum_i A_i/(1+theta_i p)
                                         -> sum_k C_k sum_i A_i theta_i^(-e_k)
                                            phi_k(s/theta_i) H(s),
@@ -40,62 +45,45 @@ and its exact time-domain add-back:
    term flat to order s^(n-1-e_k) at the front for n poles (the
    partial-fraction sums kill the p^(e_k-2) .. p^(e_k-n+1) coefficients),
    so no artificial cusp is injected there: four for the fluid, five for
-   solids, whose e_k reach 2; a solid's peel then leaves p^(e_k-5)
-   content at high rates, below the p^-1 and p^-2 the fits read,
- * a residual second-order term  j1/((p+la)(p+lb))
-                                        -> j1 (e^(-la s) - e^(-lb s)) /
-                                           (lb - la) H(s),
-   with short timescales, fitted to whatever 1/p^2 content the previous
-   subtractions leave; this carries the slope kink at the front.
+   solids, whose e_k reach 2; a solid's peel then leaves only p^(e_k-5)
+   at high rates, and no 1/p or 1/p^2 term.
 
-The front jump v0 = exp(-beta(inf) x)/(2 c_inf) and the delta area
-c_delta = exp(-beta(inf) x)/(4 pi x c_inf^2) use the exact limit
-beta(inf) = int h(r) dr (infinite, so both vanish, for algebraic tails).
-The remaining fitted coefficients (the 3D 1/p term and the kink) come
-from one real-axis fit at a rate well above every scale of the synthesis,
-where beta is free of cancellation.  What remains decays at least like
-p^-3, is pole-free, and inverts cleanly; the wavefront shift is applied as
-an integer index shift so that pre-wavefront samples come from the (tiny)
-tail of the causal remainder rather than from interpolation ringing.  The
-padding pushes wrap-around aliasing of the relaxation tail below the
-causality tolerance, and the core raises SpectralDecayError when it does
-not, a NaN included.
+The large-p end is exact too: the spectrum is a_0 + a_1/p + a_2/p^2
++ O(p^-3), with a_k in closed form in the moments m_k = int r^k h(r) dr
+of the measure (_large_p_terms): a_0 is the delta area, a_1 = v0 the 1D
+front jump.  For an algebraic tail m0 = beta(inf) is infinite and every
+a_k is 0, so a 3D Cole-Cole, Havriliak-Negami or Cole-Davidson (gamma < 1)
+synthesis builds no exponential or kink.  What remains decays at least
+like p^-3, is pole-free, and inverts cleanly; the wavefront shift is
+applied as an integer index shift so that pre-wavefront samples come from
+the (tiny) tail of the causal remainder rather than from interpolation
+ringing.  The padding pushes wrap-around aliasing of the relaxation tail
+below the causality tolerance, and the core raises SpectralDecayError
+when it does not, a NaN included, advising n_samples where the wrapped
+part is the Nyquist-scale ringing of a front too sharp for the sampling
+rate.
 
 The cost is the n_samples * pad_factor / 2 spectrum bins: pad 64 for
 algebraic tails in both dimensions, 32 otherwise, so 131k bins for a
 Cole-Cole or Havriliak-Negami 1D synthesis at n = 4096 and 262k in 3D
 at n = 8192.  The exact small-p peels leave a tail that decays like s^-2
-or faster, where the fitted p^sig and p^(2 sig) peels left s^(-2 sig) in
-1D, the unpeeled p^sig term left s^(-1 - sig) in 3D, and a pad of 256
-was needed to push them down.  On a 2-vCPU host, one CPU, a Cole-Cole 1D
-synthesis at verify's settings (x = 16 c_inf tau, n = 4096) takes 0.065
-to 0.075 s instead of 0.13 to 0.18 s, and its error against a Talbot
-inversion is at most 3.6e-7 of the peak instead of 2.5e-6 (a 1.5,
-alpha 0.4); a Cole-Cole or Havriliak-Negami 3D synthesis at n = 8192
-takes 0.11 s instead of 0.25 to 0.29 s, and at verify's settings its
-error against Talbot reads 7e-9 to 3e-8 of the peak instead of 7e-8 to
-4.1e-6.  The fractional add-back evaluates all terms' E_{1,2-e_k} of one
-pole in one Mittag-Leffler call, whose contour nodes they share.
-Every bin lies on the ray p = -i omega, so the powers (tau p)^alpha of
-beta and p^(e_k-1) of the fractional peel are one real power times one
-scalar phase, and the Havriliak-Negami factor (1 + x)^-gamma is taken in
-polar form (wavenumber._principal_power).  The bins are filled in blocks
-of _BLOCK bins, one pass per block: it forms the block's p, evaluates the
+or faster.  At verify's settings (x = 16 c_inf tau, n = 4096) the error
+against a Talbot inversion is at most 3.6e-7 of the peak in 1D (Cole-Cole
+a 1.5, alpha 0.4) and 7e-9 to 3e-8 in 3D.  The fractional add-back
+evaluates all terms' E_{1,2-e_k} of one pole in one Mittag-Leffler call,
+whose contour nodes they share.  Every bin lies on the ray
+p = -i omega, the only place a synthesis evaluates beta, so the powers
+(tau p)^alpha of beta and p^(e_k-1) of the fractional peel are one real
+power times one scalar phase, and the Havriliak-Negami factor
+(1 + x)^-gamma is taken in polar form (wavenumber._principal_power).  The bins are filled in blocks of
+_BLOCK bins, one pass per block: it forms the block's p, evaluates the
 spectrum, subtracts the front delta and every peel in place, applies the
 wavefront phase, the taper and the conjugate, and writes the result into
 the irfft input.  So the thirty-odd arithmetic passes run over arrays that
 stay in one core's L2 cache, and no full-length array exists but the
 irfft input and output.  A bin goes through the same operations whichever
 block it falls in, so the waveforms do not depend on the block size, bit
-for bit.  The high-rate fits amplify the last bit of beta (a one-ulp
-change moves the kink coefficient by a few 1e-6 relative), so every
-expression they evaluate keeps its np.power arithmetic, in real
-arithmetic, and waveforms agree with the plain complex evaluation to
-roundoff (6e-16 of the peak); the small-p fit at p = 1e-12 r_scale, which
-moved a waveform by up to 1e-7 of its peak for one ulp of beta, is gone.
-Measured on a 2-vCPU host against one full-length pass per step (the same
-bits): a Cole-Cole 3D synthesis over 1M bins (pad 256) took 0.26 s
-instead of 0.35 s, and peaked at 34 MB of arrays instead of 92 MB.
+for bit.
 
 Media with G_inf = 0 have no final-value step.  Of those, the 1D
 power-law fluid (the strongly singular regime, kappa = C p^g with no
@@ -147,7 +135,6 @@ _EXP_TOL = 1e-9           # exponents this close are equal
 _FRAC_FLAT = 1e-5         # fractional add-back is 0 below this x min theta_i
 _KINK_SAMPLES = 30.0      # short-peel timescale, in samples
 _ALIAS_LIMIT = 1e-4       # raise when the wrapped tail exceeds this x peak
-_FIT_RATIO = 1e3          # real-axis fit rate / largest synthesis rate
 _TAPER_FRACTION = 0.1     # raised-cosine taper over this top part of the band
 # Bins per pass of the spectrum fill, chosen by timing 4096, 16384 and
 # 65536: a pass keeps six to eight complex temporaries of its block alive
@@ -173,8 +160,8 @@ def _frac_poles(theta_f: float, n_poles: int):
     fluid's exponents e < 1.  A solid's reach e < 2, and with four poles
     their s^(3-e) front rings on the grid (2.9e-6 of the peak three samples
     after the front, Havriliak-Negami 1D at verify's settings), so solids
-    take five, in 1D and 3D; the p^(e-5) they leave at high rates lies
-    below the p^-1 and p^-2 terms of the 3D real-axis fits.
+    take five, in 1D and 3D; they leave p^(e-5) at high rates, no 1/p or
+    1/p^2 term.
     """
     thetas = theta_f * 0.5 ** np.arange(n_poles)
     rows = np.array([thetas ** -j for j in range(n_poles - 1)] + [thetas])
@@ -304,14 +291,6 @@ def _sing_exponent(measure: SpectralMeasure) -> float | None:
     return None
 
 
-def _real_axis_fit(f, p0, exps):
-    """Coefficients c_k of f(p) = sum_k c_k p^exps[k] + ..., solved from f
-    sampled at p0 * 2^k (k = 0, 1, ...) on the positive real axis."""
-    pts = p0 * 2.0 ** np.arange(len(exps))
-    return np.linalg.solve(pts[:, None] ** np.asarray(exps, dtype=float),
-                           f(pts))
-
-
 def _series_power(f, r: float, n: int) -> np.ndarray:
     """Taylor coefficients 0..n-1 of f(y)^r from those of f, f[0] > 0, by
     J. C. P. Miller's recurrence (from f (f^r)' = r f' f^r):
@@ -417,13 +396,33 @@ def _small_p_terms3d(model, x: float):
                          for k in range(1, n)])[0]
 
 
+def _large_p_terms(model, x: float, dim: int) -> np.ndarray:
+    """a_0, a_1, a_2 of the 1D or 3D spectrum a_0 + a_1/p + a_2/p^2 + ...
+    as p -> inf.  With m_k = int r^k h(r) dr, beta = m0 - m1/p + m2/p^2 - ...,
+    so lam = 1/c_inf + m0/p - m1/p^2 + ... and exp(-beta x) =
+    front (1 + x m1/p + (x^2 m1^2/2 - x m2)/p^2 + ...), front = exp(-m0 x).
+    All vanish with the front (m0 = inf for an algebraic tail); only
+    finite-mass media integrate m1 and m2."""
+    m0 = beta_at_infinity(model)
+    front = math.exp(-m0 * x)
+    if front == 0.0:
+        return np.zeros(3)
+    m1, m2 = (integrate_power(model.spectral_measure(), k)
+              for k in (1.0, 2.0))
+    lam = np.array([1.0 / model.c_inf, m0, -m1])
+    decay = front * np.array([1.0, x * m1, x * (0.5 * x * m1 ** 2 - m2)])
+    if dim == 1:
+        return np.concatenate([[0.0], 0.5 * np.convolve(lam, decay)[:2]])
+    return np.convolve(np.convolve(lam, lam), decay)[:3] / (4.0 * math.pi * x)
+
+
 @dataclass(frozen=True)
 class _Peel:
     """One analytically inverted part of the spectrum: ``subtract(out, p)``
     subtracts its spectrum at p from ``out`` in place, ``dc`` is
-    subtracted from bin 0 (its p -> 0 value, less any singular part the
-    low-frequency fit already carries); ``time(s)`` is added back for
-    s >= 0."""
+    subtracted from bin 0 (its p -> 0 value; 0 for a term singular there,
+    whose small-p powers the fractional peel and bin 0 carry); ``time(s)``
+    is added back for s >= 0."""
 
     subtract: Callable[[np.ndarray, np.ndarray], None]
     dc: float
@@ -513,7 +512,7 @@ def _fluid_terms(model, x):
     of an s_k = 0 term, if there is one, at p = 0.
     """
     g = 1.0 - model.measure.tail_exponent_high
-    c_b = wave_number(model, 1.0 + 0.0j).real
+    c_b = abs(wave_number(model, -1.0j))     # |C (-i)^g|
     terms, dc = [], 0.0
     k = 0
     while (s_k := (k + 1) * g - 2.0) < _EXP_TOL:
@@ -578,26 +577,26 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
     la = 1.0 / (_KINK_SAMPLES * dt)
     lb = la / 2.0
 
-    front = math.exp(-beta_at_infinity(model) * x)
-    front_delta = 0.0
+    front_delta, a1, a2 = (float(a) for a in _large_p_terms(model, x, dim))
     if c0 is None:
         dc_step = 0.0
         terms, dc = _fluid_terms(model, x)
-        peels = []
-        fit_orders = ()
     elif dim == 1:
         dc_step = 0.5 / c0
         terms, dc = _small_p_terms(model, x, c0)
-        peels = [_step_peel(dc_step),
-                 _exp_peel(0.5 * front / c_inf - dc_step, theta)]
-        fit_orders = (2,)
     else:
         dc_step = 0.0
         terms = _small_p_terms3d(model, x)
         dc = 1.0 / (4.0 * math.pi * x * c0 ** 2)
-        peels = []
-        front_delta = front / (4.0 * math.pi * x * c_inf ** 2)
-        fit_orders = (1, 2)
+    # a_0 is the front delta; the step and the ramp c/(p + 1/theta) carry
+    # a_1/p, and the kink what the ramp's -c/(theta p^2) leaves of a_2/p^2
+    ramp = a1 - dc_step
+    kink = a2 + ramp / theta
+    peels = [_step_peel(dc_step)] if dc_step else []
+    if ramp:
+        peels.append(_exp_peel(ramp, theta))
+    if kink:
+        peels.append(_kink_peel(kink, la, lb))
     theta_f, n_poles = (T / _FLUID_FRACTION, 4) if c0 is None \
         else (T / _FRAC_FRACTION, 5)
     if terms:
@@ -609,24 +608,13 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
         diagnostics["c_lin"] = dc
     diagnostics["frac_timescale"] = theta_f
 
-    def strip(rem, p):
-        """rem, the spectrum at p, less the front delta and every peel."""
+    def remainder(p):
+        """The spectrum at p less the front delta and every peel."""
+        rem = _spectrum(model, x, dim, p)
         rem -= front_delta
         for peel in peels:
             peel.subtract(rem, p)
         return rem
-
-    # the 1/p (3D) and 1/p^2 content the analytic peels leave is fitted on
-    # the real axis, in real arithmetic, at one rate well above every scale
-    # of the synthesis
-    p_fit = _FIT_RATIO * max(measure.r_scale, la, 1.0 / theta)
-    for order in fit_orders:
-        coef = _real_axis_fit(
-            lambda p: p ** order * strip(
-                np.real(_spectrum(model, x, dim, p + 0.0j)), p),
-            p_fit, (0.0, -1.0))[0]
-        peels.append(_exp_peel(coef, theta) if order == 1
-                     else _kink_peel(coef, la, lb))
 
     # wavefront shift: integer part as an index roll, fractional part as a
     # phase on the (smooth, jump-free) remainder spectrum; the peels are
@@ -635,11 +623,11 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
     delta = t_w - k_shift * dt
     W = np.empty(n_full // 2 + 1, dtype=complex)
     W[0] = dc - front_delta - sum(peel.dc for peel in peels)
-    _fill(W, dt, lambda p: strip(_spectrum(model, x, dim, p), p), delta,
-          taper)
+    _fill(W, dt, remainder, delta, taper)
     w_time = np.fft.irfft(W, n=n_full)
     w_time /= dt
-    alias = float(np.max(np.abs(w_time[-max(4, n_full // 512):])))
+    tail = w_time[-max(4, n_full // 512):]
+    alias = float(np.max(np.abs(tail)))
 
     m = np.arange(n_samples)
     u = w_time[(m - k_shift) % n_full]
@@ -655,9 +643,15 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
 
     peak = float(np.max(np.abs(u)))
     if not alias <= _ALIAS_LIMIT * peak:     # NaN included
+        # a wrapped relaxation tail varies slowly over the window; the
+        # Nyquist-scale ringing of an unresolved front or fluid start
+        # changes by more than its own size from sample to sample
+        advice = "the front rings at the Nyquist rate; increase n_samples" \
+            if np.max(np.abs(np.diff(tail))) > alias \
+            else "increase pad_factor or T"
         raise SpectralDecayError(
             f"wrap-around tail {alias:.2e} exceeds {_ALIAS_LIMIT:.0e} of "
-            f"peak {peak:.2e}; increase pad_factor or T")
+            f"peak {peak:.2e}; {advice}")
 
     return Waveform(
         time_grid=m * dt,

@@ -458,15 +458,18 @@ def spectral_measure(model) -> SpectralMeasure:
         )
     if isinstance(model, ColeDavidson):
         edge = (1.0 - model.b ** (1.0 / model.gamma)) / model.tau
+        # at gamma = 1 the upper piece vanishes: the SLS with a = 1/(1 - b),
+        # on [(1 - b)/tau, 1/tau], with every moment finite
+        bounded = model.gamma == 1.0
         return SpectralMeasure(
             density=lambda r: cd_spectral_density(model, r),
-            support=(edge, math.inf),
-            tail_exponent_high=model.gamma,
+            support=(edge, 1.0 / model.tau if bounded else math.inf),
+            tail_exponent_high=math.inf if bounded else model.gamma,
             # at b = 1 the support reaches 0 with h ~ r^(-1/2)
             tail_exponent_low=-0.5 if model.b == 1.0 else None,
             r_scale=1.0 / model.tau,
             sqrt_singular_left=True,
-            breaks=(1.0 / model.tau,),
+            breaks=() if bounded else (1.0 / model.tau,),
             label="cole-davidson",
         )
     if isinstance(model, (PowerLawMeasure, FiniteBand)):

@@ -92,8 +92,7 @@ def _principal_power(z, e):
     1 + (tau p)^alpha.  There the power is taken in polar form,
     |z|^e e^(i e arg z), with real functions; on the negative imaginary
     axis itself, z = -i y, that is y^e (-i)^e, one real power times one
-    scalar phase.  Any other z, the real axis of the fits in
-    :mod:`cmwave.greens` included, takes np.power.
+    scalar phase.  Any other z takes np.power.
     """
     z = np.asarray(z)
     if not (np.iscomplexobj(z) and z.size and z.imag.max() < 0.0):
@@ -192,8 +191,7 @@ def dispersion_attenuation(model, p):
     if isinstance(model, MeasureMedium):
         beta = np.asarray(model.measure.beta_fn(p), dtype=complex)
     else:
-        # the expression above, in place and in its order of operations:
-        # the real-axis fits of greens amplify the last bit of beta
+        # the expression above, in place
         flat = np.atleast_1d(p)
         q, beta = _modulus_parts(model, flat)
         root_q = np.sqrt(q, out=q)

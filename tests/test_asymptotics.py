@@ -87,6 +87,10 @@ def test_classify_wavefront(cc, sls, finite_band):
     assert classify_wavefront(finite_band).tag == "discontinuity-possible"
     assert classify_wavefront(sls).tag == "discontinuity-possible"
     assert classify_wavefront(cc).tag == "smoothed"
+    # Cole-Davidson with gamma = 1 is an SLS: its front jumps
+    cd1 = cw.ColeDavidson(b=0.5, gamma=1.0, tau=1e-13, g0=1.0)
+    assert classify_wavefront(cd1).tag == "discontinuity-possible"
+    assert spectral_moment(cw.spectral_measure(cd1), 2) > 0.0
     fluid = MeasureMedium(cw.make_powerlaw_measure(1.0, 0.75),
                           c_inf=math.inf)
     regime = classify_wavefront(fluid)

@@ -285,23 +285,52 @@ def test_waveform_csv_roundtrip(tmp_path):
         == buf.getvalue()
 
 
-@pytest.mark.parametrize("synth, pad", [(green1d, 8), (green3d, 1)],
-                         ids=["green1d", "green3d"])
-def test_spectral_decay_error_raised(synth, pad):
+def _decay_cases():
+    """(synthesis, model, x, T, pad_factor, advice) of syntheses that must
+    raise SpectralDecayError, and the advice its message gives."""
+    tau = 1e-13
+    x, T = 16 * C_INF * tau, 64 * tau      # verify's settings
+    # extreme fractional content at minimal padding: the relaxation tail
+    # wraps around the period
+    hn = cw.HavriliakNegami(b=0.5, alpha=0.3, gamma=0.9, tau=tau,
+                            g0=RHO * C_INF ** 2, rho=RHO)
+    wrap = "increase pad_factor or T"
+    # fronts and a fluid start too sharp for the sampling rate: they ring
+    # at the Nyquist rate over the whole period, whatever the padding
+    ring = "increase n_samples"
+    cd = cw.ColeDavidson(b=0.41, gamma=0.94, tau=tau, g0=RHO * C_INF ** 2,
+                         rho=RHO)
+    cc = cw.ColeCole(a=1.1, alpha=0.55, tau=tau, g_inf=RHO * C_INF ** 2 / 1.1,
+                     rho=RHO)
+
+    def fluid(a_coef):
+        return MeasureMedium(cw.make_powerlaw_measure(a_coef, 0.5),
+                             c_inf=math.inf)
+
+    return {"green1d": (green1d, hn, x, T, 8, wrap),
+            "green3d": (green3d, hn, x, T, 1, wrap),
+            "fluid-wrap": (green1d, fluid(1.0), 1.0, 1.0, None, wrap),
+            "cd-ring-1d": (green1d, cd, x, T, None, ring),
+            "cc-ring-3d": (green3d, cc, x, T, None, ring),
+            "fluid-ring": (green1d, fluid(0.0065), 0.1, 1.0, None, ring)}
+
+
+@pytest.mark.parametrize("case", list(_decay_cases()))
+def test_spectral_decay_error_raised(case):
+    # the synthesis must refuse rather than return a polluted waveform, and
+    # say which resolution to raise.  In 3D the exact small-p peel leaves a
+    # remainder that decays like s^(-2 - alpha), and at pad 8 it wraps to
+    # 1.7e-5 of the peak, inside the tolerance; with no padding at all (pad
+    # 1) the period is the window itself, the remainder is still 5e-3 of
+    # the peak at its end, and that wraps onto the front.  Over the alias
+    # window a wrapped tail changes from sample to sample by at most 0.22
+    # of its largest value (4e-4 to 0.22 here), the ringing by 1.5 to 1.7
+    # times it
     from cmwave.greens import SpectralDecayError
 
-    # extreme fractional content at minimal padding cannot reach the
-    # aliasing tolerance; the synthesis must refuse rather than return a
-    # polluted waveform.  In 3D the exact small-p peel leaves a remainder
-    # that decays like s^(-2 - alpha), and at pad 8 it wraps to 1.7e-5 of
-    # the peak, inside the tolerance; with no padding at all (pad 1) the
-    # period is the window itself, the remainder is still 5e-3 of the peak
-    # at its end, and that wraps onto the front
-    hn = cw.HavriliakNegami(b=0.5, alpha=0.3, gamma=0.9, tau=1e-13,
-                            g0=RHO * C_INF ** 2, rho=RHO)
-    x = 16 * hn.c_inf * hn.tau
-    with pytest.raises(SpectralDecayError):
-        synth(hn, x=x, n_samples=4096, T=4 * x / hn.c_inf, pad_factor=pad)
+    synth, model, x, T, pad, advice = _decay_cases()[case]
+    with pytest.raises(SpectralDecayError, match=advice):
+        synth(model, x=x, n_samples=4096, T=T, pad_factor=pad)
 
 
 def test_cd_gamma_one_keeps_the_front_jump():
@@ -349,6 +378,21 @@ def _peel_reference(name, args, p):
     return sum(c * p ** (e - 1.0) * poles for e, c in terms)
 
 
+def _record_peels(monkeypatch):
+    """A list that collects (name, args, peel) of every peel the synthesis
+    builds."""
+    import cmwave.greens as greens
+
+    built = []
+    for name in ("_step_peel", "_exp_peel", "_kink_peel", "_frac_peel"):
+        def record(*args, _name=name, _make=getattr(greens, name)):
+            peel = _make(*args)
+            built.append((_name, args, peel))
+            return peel
+        monkeypatch.setattr(greens, name, record)
+    return built
+
+
 @pytest.mark.parametrize("family", ["cc", "hn"])
 @pytest.mark.parametrize("synth", [green1d, green3d])
 def test_bins_match_the_complex_arithmetic_spectrum(monkeypatch, family,
@@ -359,7 +403,9 @@ def test_bins_match_the_complex_arithmetic_spectrum(monkeypatch, family,
     # below 2: 0.4, 0.8, 1.2, 1.6, 1.4 and 1.8 for Cole-Cole with
     # alpha = 0.4, and alpha, 2 alpha and 1 + alpha for Havriliak-Negami
     # with alpha = 1/1.3; in 3D every 1 + k alpha below 2: 1.4 and 1.8, and
-    # 1 + alpha
+    # 1 + alpha.  An algebraic tail leaves the 3D spectrum no 1/p or 1/p^2
+    # term (exp(-beta x) decays faster than any power), so no ramp or kink
+    # peel is built there
     import cmwave.greens as greens
 
     x = 1e-3
@@ -368,17 +414,11 @@ def test_bins_match_the_complex_arithmetic_spectrum(monkeypatch, family,
         if family == "cc" else \
         cw.HavriliakNegami(b=0.5, alpha=1 / 1.3, gamma=0.65, tau=tau,
                            g0=RHO * C_INF ** 2, rho=RHO)
-    built = []
-    for name in ("_step_peel", "_exp_peel", "_kink_peel", "_frac_peel"):
-        def record(*args, _name=name, _make=getattr(greens, name)):
-            peel = _make(*args)
-            built.append((_name, args, peel))
-            return peel
-        monkeypatch.setattr(greens, name, record)
+    built = _record_peels(monkeypatch)
     T = 4 * x / model.c_inf
     synth(model, x=x, n_samples=4096, T=T)
     dim = 1 if synth is green1d else 3
-    expect = {"_exp_peel", "_kink_peel", "_frac_peel"} if dim == 3 else \
+    expect = {"_frac_peel"} if dim == 3 else \
         {"_step_peel", "_exp_peel", "_kink_peel", "_frac_peel"}
     assert {name for name, _, _ in built} == expect
     terms = next(args for name, args, _ in built if name == "_frac_peel")[0]
@@ -548,10 +588,12 @@ def _mp_lam_of_y(model, y):
     return mpmath.sqrt(model.rho / q)
 
 
-def _talbot_green(model, x, s, dim):
+def _talbot_green(model, x, s, dim, delta=0.0):
     """v1 (dim 1) or v3 (dim 3) at s after the wavefront: the Talbot
     inversion of lam exp(-beta x)/(2 p) or lam^2 exp(-beta x)/(4 pi x),
-    beta = p (lam - 1/c_inf), at 30 digits."""
+    beta = p (lam - 1/c_inf), at 30 digits, less the constant ``delta``
+    (the front delta's area, which inverts to delta(s), 0 after the
+    front)."""
     import mpmath
 
     alpha = mpmath.mpf(getattr(model, "alpha", 1.0))
@@ -562,7 +604,7 @@ def _talbot_green(model, x, s, dim):
         decay = mpmath.exp(-p * (lam - slow) * x)
         if dim == 1:
             return lam * decay / (2 * p)
-        return lam ** 2 * decay / (4 * mpmath.pi * x)
+        return lam ** 2 * decay / (4 * mpmath.pi * x) - delta
 
     with mpmath.workdps(30):
         return float(mpmath.invertlaplace(spectrum, s, method="talbot"))
@@ -578,7 +620,7 @@ def _assert_matches_talbot(model, dim, rel):
     for s_tau in (1.0, 4.0, 10.0, 20.0, 40.0):
         k = k_front + round(s_tau * model.tau / w.dt)
         s = w.time_grid[k] - w.wavefront_time
-        ref = _talbot_green(model, x, s, dim)
+        ref = _talbot_green(model, x, s, dim, w.front_delta_area)
         assert abs(w.samples[k] - ref) <= rel * peak, s_tau
 
 
@@ -607,11 +649,16 @@ def test_green1d_matches_talbot_after_the_front(model):
                 g_inf=RHO * C_INF ** 2 / 1.65, rho=RHO),
     cw.HavriliakNegami(b=0.5, alpha=1 / 1.3, gamma=0.65, tau=1e-13,
                        g0=RHO * C_INF ** 2, rho=RHO),
-], ids=["cc-0.2", "cc-0.4", "cc-0.53", "hn"])
+    cw.StandardLinearSolid(a=1.5, tau=1e-13, g_inf=G_INF, rho=RHO),
+    cw.ColeDavidson(b=0.5, gamma=1.0, tau=1e-13, g0=RHO * C_INF ** 2,
+                    rho=RHO),
+], ids=["cc-0.2", "cc-0.4", "cc-0.53", "hn", "sls", "cd-1"])
 def test_green3d_matches_talbot_after_the_front(model):
     # the 3D synthesis at verify's settings; with the small-p tail fitted
     # rather than peeled, at pad 256, Cole-Cole 0.2 and 0.4 were off by a
-    # flat 4.1e-6 and 1.2e-6 of the peak, and the peel reads 3e-8 or less
+    # flat 4.1e-6 and 1.2e-6 of the peak, and the peel reads 3e-8 or less.
+    # The SLS and Cole-Davidson with gamma = 1 carry a front delta, whose
+    # constant spectrum the reference leaves out
     _assert_matches_talbot(model, 3, 1e-6)
 
 
@@ -731,3 +778,156 @@ def test_finite_band_c_lin_is_the_second_inverse_moment():
     want = -0.5 * height * (1.0 / r_lo - 1.0 / r_hi) - 0.5 * x * d_const / c0
     assert d["peel_exponents"] == []
     assert d["c_lin"] == pytest.approx(want, rel=1e-8)
+
+
+def _mp_spectrum(model, x, dim):
+    """The 1D or 3D spectrum as a function of real p > 0, in mpmath."""
+    import mpmath
+
+    if isinstance(model, MeasureMedium):
+        # a finite band: beta = h p log((p + r_hi)/(p + r_lo))
+        r_lo, r_hi = model.measure.support
+        height = mpmath.mpf(model.measure((r_lo + r_hi) / 2))
+        slow = 1 / mpmath.mpf(model.c_inf)
+
+        def lam(p):
+            return slow + height * mpmath.log((p + r_hi) / (p + r_lo))
+    else:
+        alpha = mpmath.mpf(getattr(model, "alpha", 1.0))
+        # lam at y = inf, so that beta = p (lam - slow) holds no p^1 term
+        slow = mpmath.sqrt(model.rho / (model.a * mpmath.mpf(model.g_inf))) \
+            if isinstance(model, (cw.ColeCole, cw.StandardLinearSolid)) \
+            else mpmath.sqrt(model.rho / mpmath.mpf(model.g0))
+
+        def lam(p):
+            return _mp_lam_of_y(model, (mpmath.mpf(model.tau) * p) ** alpha)
+
+    def spectrum(p):
+        ell = lam(p)
+        decay = mpmath.exp(-p * (ell - slow) * x)
+        if dim == 1:
+            return ell * decay / (2 * p)
+        return ell ** 2 * decay / (4 * mpmath.pi * x)
+
+    return spectrum
+
+
+def _mp_constant_term(f, p0, top):
+    """The p^0 coefficient of f(p) = sum_j c_j p^j, j = top, top - 1, ...,
+    solved from f at p0 2^i, i = 0 .. 5 (in u = 2^i, whose p^0 coefficient
+    is the same)."""
+    import mpmath
+
+    powers = range(top, top - 6, -1)
+    coef = mpmath.lu_solve(
+        mpmath.matrix([[mpmath.mpf(2) ** (i * j) for j in powers]
+                       for i in range(6)]),
+        mpmath.matrix([f(mpmath.mpf(p0) * 2 ** i) for i in range(6)]))
+    return coef[top]
+
+
+def _large_p_cases():
+    tau = 1e-13
+    return {
+        "sls": cw.StandardLinearSolid(a=1.5, tau=tau, g_inf=G_INF, rho=RHO),
+        "cd-1": cw.ColeDavidson(b=0.5, gamma=1.0, tau=tau,
+                                g0=RHO * C_INF ** 2, rho=RHO),
+        "band": MeasureMedium(cw.make_finiteband_measure(1e-7, 1e5, 1e6),
+                              c_inf=C_INF),
+        "cc": cw.ColeCole(a=1.5, alpha=0.4, tau=tau, g_inf=G_INF, rho=RHO),
+        "hn": cw.HavriliakNegami(b=0.5, alpha=1 / 1.3, gamma=0.65, tau=tau,
+                                 g0=RHO * C_INF ** 2, rho=RHO),
+    }
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("case", list(_large_p_cases()))
+def test_large_p_peel_coefficients_match_the_expansion(monkeypatch, case,
+                                                       dim):
+    # the front delta, ramp and kink coefficients the synthesis forms from
+    # the moments m0, m1, m2 of the measure, against the large-p limits of
+    # p^k (spectrum - the lower-order peels) in 50-digit arithmetic, far
+    # above every rate of the synthesis.  An algebraic tail (Cole-Cole,
+    # Havriliak-Negami) leaves the spectrum no 1/p or 1/p^2 term: the 3D
+    # synthesis builds no ramp or kink, and the 1D kink only undoes the
+    # ramp's -c/(theta p^2).  The fractional peel is left out of the
+    # limits: its pole sums start at p^(e-5), which adds nothing to them
+    import mpmath
+
+    import cmwave.greens as greens
+
+    model = _large_p_cases()[case]
+    if case == "band":
+        x, n, T = 0.05, 4096, 4e-5
+    else:
+        x, n, T = _verify_settings(model)
+    built = _record_peels(monkeypatch)
+    w = (green1d if dim == 1 else green3d)(model, x=x, n_samples=n, T=T)
+    got = {name: args for name, args, _ in built}
+    finite_mass = case in ("sls", "cd-1", "band")
+    assert ("_exp_peel" in got) == ("_kink_peel" in got) \
+        == (dim == 1 or finite_mass)
+    assert ("_frac_peel" in got) == (not finite_mass)
+    theta = T * w.diagnostics["pad_factor"] / greens._THETA_FRACTION
+    if "_exp_peel" in got:
+        assert got["_exp_peel"][1] == theta
+    r_hi = model.measure.support[1] if case == "band" else 1 / model.tau
+    with mpmath.workdps(50):
+        spectrum = _mp_spectrum(model, x, dim)
+
+        def limit(k, names):
+            """The p^0 coefficient of p^k (spectrum - front delta - the
+            named peels); the rounding of the synthesis' own lower-order
+            coefficients leaves p^1 and p^2 terms, which the fit
+            separates."""
+            def f(p):
+                rest = spectrum(p) - w.front_delta_area - sum(
+                    _peel_reference(name, [mpmath.mpf(a) for a in args], p)
+                    for name, args, _ in built if name in names)
+                return p ** k * rest
+            return _mp_constant_term(f, 1e6 * max(n / T, r_hi), k)
+
+        want = {"_exp_peel": limit(1, ("_step_peel",)),
+                "_kink_peel": limit(2, ("_step_peel", "_exp_peel"))}
+        if dim == 3:    # the 1D spectrum has no p^0 term
+            want["front_delta_area"] = limit(0, ()) + w.front_delta_area
+    for key, value in want.items():
+        have = w.front_delta_area if key == "front_delta_area" \
+            else got.get(key, (0.0,))[0]
+        # where a coefficient is 0 its limit is below 1e-1000 of its scale
+        assert have == pytest.approx(float(value), rel=1e-7, abs=1e-300), key
+
+
+def test_syntheses_evaluate_beta_only_on_the_imaginary_axis(monkeypatch):
+    # every peel coefficient comes from an exact expansion, so no synthesis
+    # evaluates beta anywhere but on its bins p = -i omega
+    import cmwave.greens as greens
+    import cmwave.wavenumber as wavenumber
+
+    seen = []
+    evaluate = wavenumber.dispersion_attenuation
+
+    def record(model, p):
+        seen.append(np.asarray(p, dtype=complex))
+        return evaluate(model, p)
+
+    for module in (greens, wavenumber):
+        monkeypatch.setattr(module, "dispersion_attenuation", record)
+    cases = [(case, model, x, T) for case, model in _large_p_cases().items()
+             for x, _, T in [_verify_settings(model) if case != "band"
+                             else (0.05, 4096, 4e-5)]]
+    cases.append(("elastic", elastic_medium(), 1.0, 8e-4))
+    cases.append(("cd", cw.ColeDavidson(b=0.5, gamma=0.5, tau=1e-13,
+                                        g0=RHO * C_INF ** 2, rho=RHO),
+                  16 * C_INF * 1e-13, 64e-13))
+    for case, model, x, T in cases:
+        for synth in (green1d, green3d):
+            seen.clear()
+            synth(model, x=x, n_samples=4096, T=T)
+            assert seen, case
+            assert all(not p.real.any() for p in seen), (case, synth)
+    fluid = MeasureMedium(cw.make_powerlaw_measure(0.0065, 0.75),
+                          c_inf=math.inf)
+    seen.clear()
+    green1d(fluid, x=1.0, n_samples=4096, T=1.0)
+    assert seen and all(not p.real.any() for p in seen)

@@ -127,7 +127,16 @@ def test_cd_matches_jump_oracle_both_branches(cd):
 
 def test_cd_gamma_one_equals_sls():
     # at gamma = 1 the Cole-Davidson lower branch is the SLS density with
-    # a = 1/(1-b)
+    # a = 1/(1-b), and its measure the SLS's: bounded support
+    # [(1 - b)/tau, 1/tau], every moment finite (the front can jump), no
+    # break, and the SLS's moments, which the 3D Green's peels take
+    from cmwave._quad import integrate_power
+    from cmwave.dispersion import attenuation, curve
+    from cmwave.wavenumber import (
+        attenuation_from_wavenumber,
+        dispersion_from_wavenumber,
+    )
+
     b = 0.5
     cd1 = cw.ColeDavidson(b=b, gamma=1.0, tau=TAU, g0=2.5e7)
     sls1 = cw.StandardLinearSolid(a=1 / (1 - b), tau=TAU,
@@ -135,6 +144,23 @@ def test_cd_gamma_one_equals_sls():
     r = np.linspace(0.55, 0.95, 41) / TAU
     assert np.allclose(cd_spectral_density(cd1, r),
                        sls_spectral_density(sls1, r), rtol=1e-12)
+    meas = cw.spectral_measure(cd1)
+    assert meas.support == ((1 - b) / TAU, 1 / TAU)
+    assert meas.all_moments_finite and meas.breaks == ()
+    for k in (-1.0, 0.0, 1.0, 2.0):
+        assert integrate_power(meas, k) == pytest.approx(
+            integrate_power(cw.spectral_measure(sls1), k), rel=1e-12)
+    # the attenuation and dispersion on both quadrature routes against the
+    # closed-form beta
+    omega = np.logspace(-3.0, 3.0, 25) / TAU
+    c = curve(cd1, omega)
+    assert np.allclose(c.attenuation, attenuation_from_wavenumber(cd1, omega),
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(c.dispersion, dispersion_from_wavenumber(cd1, omega),
+                       rtol=1e-12, atol=0.0)
+    for w in omega[::6]:
+        assert attenuation(cd1, w) == pytest.approx(
+            attenuation_from_wavenumber(cd1, w), rel=1e-12)
 
 
 def test_powerlaw_measure_values():
