@@ -7,7 +7,8 @@ omega = 1e6 rad/s); everything internal is SI (rad/s).  Output is
 deterministic: data rows never contain timestamps, and the metadata header
 carries a hash of the resolved configuration instead.  The one exception is
 the ``elapsed_s`` that ``verify`` records for each check, in seconds.
-``greens`` writes the synthesis record (``Waveform.diagnostics``) as
+``greens`` writes the synthesis record (``Waveform.diagnostics``) and
+``curves`` the quadrature record (``DispersionCurve.diagnostics``) as
 ``# diag_<key>=<value>`` header lines.
 
 Options may also come from a file given by ``--config``: each ``key=value``
@@ -183,9 +184,11 @@ def _output(args):
         os.close(devnull)
 
 
-def _write_table(args, header, rows):
+def _write_table(args, header, rows, diagnostics=None):
     with _output(args) as buf:
         buf.write(f"# cmwave {args.command} config_sha256={_config_hash(args)}\n")
+        for key, val in (diagnostics or {}).items():
+            buf.write(f"# diag_{key}={val}\n")
         buf.write(",".join(header) + "\n")
         for row in rows:
             buf.write(",".join(f"{v:.16e}" for v in row) + "\n")
@@ -196,7 +199,7 @@ def cmd_curves(args) -> int:
     rows = zip(table.omega / _OMEGA_UNIT, table.attenuation,
                table.dispersion, table.phase_speed)
     _write_table(args, ["omega_MHz", "attenuation_per_m", "dispersion_per_m",
-                        "phase_speed_m_per_s"], rows)
+                        "phase_speed_m_per_s"], rows, table.diagnostics)
     return 0
 
 

@@ -22,31 +22,25 @@ and its exact time-domain add-back:
                                            (lb - la) H(s),
    with short timescales, carrying the 1/p^2 term the exponential leaves:
    the slope kink at the front,
- * the fractional terms  sum_k C_k p^(e_k-1) sum_i A_i/(1+theta_i p)
-                                        -> sum_k C_k sum_i A_i theta_i^(-e_k)
-                                           phi_k(s/theta_i) H(s),
-   phi_k(y) = y^(1-e_k) E_{1,2-e_k}(-y): the exact small-p expansion of
-   the spectrum, whose powers p^(e_k-1) set the slow relaxation tail
-   s^(-e_k) of media whose spectral density reaches r = 0.  For a solid,
-   lam = L(y) = sqrt(rho/Q) is a power series in y = (tau p)^alpha
-   (Cole-Cole, Havriliak-Negami), with Taylor coefficients formed in
-   floats by series arithmetic, and beta = p (L - 1/c_inf).  In 1D,
-   q(p) = p v(p) - v_inf = (L(y) - L(0))/2
-   - x p L(y) (L(y) - 1/c_inf)/2 + O(p^2), so the peel carries every
-   non-integer k alpha and 1 + k alpha below 2, and bin 0 takes the exact
-   p^1 coefficient c_lin.  In 3D,
-   V3 = L(y)^2/(4 pi x) - p L(y)^2 (L(y) - 1/c_inf)/(4 pi) + O(p^2), so
-   the peel carries e_k = 1 + k alpha for every p^(k alpha) below p^1,
-   with the Taylor coefficients of L^2 over 4 pi x, and bin 0 keeps the
-   exact 1/(4 pi x c0^2).  In both, the first power left in the remainder
-   decays like s^-2 or faster.  For the power-law fluid below, the e_k
-   are the negative powers of its spectrum plus one.  One peel carries
-   every term over pole sums formed once.  Its poles make the subtracted
-   term flat to order s^(n-1-e_k) at the front for n poles (the
-   partial-fraction sums kill the p^(e_k-2) .. p^(e_k-n+1) coefficients),
-   so no artificial cusp is injected there: four for the fluid, five for
-   solids, whose e_k reach 2; a solid's peel then leaves only p^(e_k-5)
-   at high rates, and no 1/p or 1/p^2 term.
+ * the exact small-p function of beta, for solids whose spectral measure
+   reaches r = 0 (Cole-Cole, Havriliak-Negami), whose small-p powers
+   p^(k alpha) set the slow relaxation tail:
+
+       G(p) = (L (1 - x beta + x^2 beta^2/2) - 1/c0) P(p)/(2 p)    (1D),
+       G(p) = (L^2 (1 - x beta) - 1/c0^2) P(p)/(4 pi x)           (3D),
+
+   L = lam, with P = sum A_i/(1 + theta_i p) a six-pole sum that is
+   1 + O(p^3) at small p and O(p^-4) at high rates (_frac_poles).  G is
+   the spectrum less the step with exp(-x beta) cut to its Taylor
+   polynomial, so the remainder is c p^2 + O(p^(2 + alpha)) in 1D and
+   1/(4 pi x c0^2) + O(p^2) in 3D, bin 0 takes 0 and 1/(4 pi x c0^2), and
+   the tail left decays like s^-3 or faster.  G is formed from the beta
+   that each bin already holds; its time function is added back by
+   windowed parabolic contours (_contour_inverse), which evaluate beta at
+   44 nodes per decade of time off the imaginary axis.  A measure that
+   stays off r = 0 (the SLS, Cole-Davidson, a finite band) leaves beta
+   analytic at p = 0: nothing is peeled, and the 1D bin 0 takes the
+   p^1 coefficient c_lin = -int h/r^2 dr/2 - x (1/c0 - 1/c_inf)/(2 c0).
 
 The large-p end is exact too: the spectrum is a_0 + a_1/p + a_2/p^2
 + O(p^-3), with a_k in closed form in the moments m_k = int r^k h(r) dr
@@ -66,30 +60,28 @@ rate.
 The cost is the n_samples * pad_factor / 2 spectrum bins: pad 64 for
 algebraic tails in both dimensions, 32 otherwise, so 131k bins for a
 Cole-Cole or Havriliak-Negami 1D synthesis at n = 4096 and 262k in 3D
-at n = 8192.  The exact small-p peels leave a tail that decays like s^-2
-or faster.  At verify's settings (x = 16 c_inf tau, n = 4096) the error
-against a Talbot inversion is at most 3.6e-7 of the peak in 1D (Cole-Cole
-a 1.5, alpha 0.4) and 7e-9 to 3e-8 in 3D.  The fractional add-back
-evaluates all terms' E_{1,2-e_k} of one pole in one Mittag-Leffler call,
-whose contour nodes they share.  Every bin lies on the ray
-p = -i omega, the only place a synthesis evaluates beta, so the powers
-(tau p)^alpha of beta and p^(e_k-1) of the fractional peel are one real
+at n = 8192, and 176 contour nodes at verify's settings (x = 16 c_inf
+tau, n = 4096), where the error against a Talbot or de Hoog inversion is
+at most 1.6e-9 of the peak for Cole-Cole a 1.5, alpha 0.4 and 8.9e-8
+(1D) and 3.7e-7 (3D) for the strongly relaxing a 13.36, alpha 0.59.  On
+the bins p = -i omega the powers (tau p)^alpha of beta are one real
 power times one scalar phase, and the Havriliak-Negami factor
-(1 + x)^-gamma is taken in polar form (wavenumber._principal_power).  The bins are filled in blocks of
-_BLOCK bins, one pass per block: it forms the block's p, evaluates the
-spectrum, subtracts the front delta and every peel in place, applies the
-wavefront phase, the taper and the conjugate, and writes the result into
-the irfft input.  So the thirty-odd arithmetic passes run over arrays that
-stay in one core's L2 cache, and no full-length array exists but the
-irfft input and output.  A bin goes through the same operations whichever
-block it falls in, so the waveforms do not depend on the block size, bit
-for bit.
+(1 + x)^-gamma is taken in polar form (wavenumber._principal_power).  The
+bins are filled in blocks of _BLOCK bins, one pass per block: it forms
+the block's p and beta, evaluates the spectrum, subtracts the front delta
+and every peel in place, applies the wavefront phase, the taper and the
+conjugate, and writes the result into the irfft input.  So the
+arithmetic passes run over arrays that stay in one core's L2 cache, and
+no full-length array exists but the irfft input and output.  A bin goes
+through the same operations whichever block it falls in, so the
+waveforms do not depend on the block size, bit for bit.
 
 Media with G_inf = 0 have no final-value step.  Of those, the 1D
 power-law fluid (the strongly singular regime, kappa = C p^g with no
 wavefront) is one more peel set of the same core: its spectrum
-(C/2) p^(g-2) exp(-C x p^g) has an exact small-p expansion, the fractional
-peel carries each of its negative powers, and bin 0 is the coefficient of
+(C/2) p^(g-2) exp(-C x p^g) has an exact small-p expansion, a four-pole
+fractional peel carries each of its negative powers, added back by
+Mittag-Leffler functions (ml_e1_neg), and bin 0 is the coefficient of
 its p^0 term, if it has one.  The pole sums are 1 + O(p^2), so no further
 power is induced.  Spectrum, fill, inversion, add-back and alias gate are
 the core's; where C x is so small that exp(-C x p^g) has not decayed by
@@ -109,7 +101,7 @@ from typing import Callable
 import numpy as np
 
 from ._quad import integrate_power
-from .measures import ColeCole, SpectralMeasure, StandardLinearSolid
+from .measures import SpectralMeasure
 from .mittag_leffler import ml_e1_neg
 from .wavenumber import (
     MeasureMedium,
@@ -129,10 +121,10 @@ __all__ = [
 ]
 
 _THETA_FRACTION = 40.0    # ramp timescale = period / this
-_FRAC_FRACTION = 2.0      # solids' fractional-peel timescale = T / this
+_FRAC_FRACTION = 2.0      # solids' small-p pole timescale = T / this
 _FLUID_FRACTION = 64.0    # ... and the power-law fluid's
 _EXP_TOL = 1e-9           # exponents this close are equal
-_FRAC_FLAT = 1e-5         # fractional add-back is 0 below this x min theta_i
+_FRAC_FLAT = 1e-5         # small-p add-back is 0 below this x min theta_i
 _KINK_SAMPLES = 30.0      # short-peel timescale, in samples
 _ALIAS_LIMIT = 1e-4       # raise when the wrapped tail exceeds this x peak
 _TAPER_FRACTION = 0.1     # raised-cosine taper over this top part of the band
@@ -141,34 +133,42 @@ _TAPER_FRACTION = 0.1     # raised-cosine taper over this top part of the band
 # (1.5 to 2 MiB by tracemalloc at 16384), so they fit in one core's 2 MiB
 # L2 cache; 65536 spills it and 4096 pays more per-pass overhead.
 _BLOCK = 16384
+# The small-p add-back's parabolic contour (_contour_inverse): one per
+# log-time window of this ratio, with these nodes on its upper half, step
+# h and scale mu t0
+_CONTOUR_WINDOW = 10.0
+_CONTOUR_NODES = 44
+_CONTOUR_STEP = 0.2045
+_CONTOUR_MU = 0.384
 
 
-def _frac_poles(theta_f: float, n_poles: int):
-    """Pole timescales and weights of the fractional-tail subtraction.
+def _frac_poles(theta_f: float, n_poles: int, n_tail: int):
+    """Pole timescales and weights of a small-p peel's pole sum
+    P(p) = sum A_i/(1 + theta_i p).
 
     Poles theta_i = theta_f * 2^-i, i < n_poles, with weights solving
 
-        sum A_i = 1,    sum A_i/theta_i^j = 0 (j = 1 .. n_poles - 2),
-        sum A_i theta_i = 0.
+        sum A_i = 1,    sum A_i/theta_i^j = 0 (j = 1 .. n_poles - n_tail - 1),
+        sum A_i theta_i^j = 0 (j = 1 .. n_tail).
 
-    The first condition reproduces the p^(e-1) singularity exactly; the
-    middle ones kill the p^(e-2) .. p^(e-n_poles+1) high-frequency terms,
-    so the subtracted term is flat to order s^(n_poles-1-e) at the front
-    (no artificial cusp there); the last kills the leading s^(-1-e) error
-    of the far tail, so the subtraction matches the physical relaxation
-    tail to O((theta_f/s)^2) relative.  Four poles serve the power-law
-    fluid's exponents e < 1.  A solid's reach e < 2, and with four poles
-    their s^(3-e) front rings on the grid (2.9e-6 of the peak three samples
-    after the front, Havriliak-Negami 1D at verify's settings), so solids
-    take five, in 1D and 3D; they leave p^(e-5) at high rates, no 1/p or
-    1/p^2 term.
+    The first and last conditions keep the peeled small-p content:
+    P = 1 + O(p^(n_tail+1)).  The middle ones make P = O(p^-(n_poles -
+    n_tail)) at high rates, so the subtracted term is flat at the front (no
+    artificial cusp there) and adds no 1/p or 1/p^2 term to what the
+    large-p peels carry.  The power-law fluid takes four poles and one
+    tail condition; the exact small-p peel of solids six and two, so that
+    1 - P = O(p^3) leaves no term below p^(2 + alpha) in the 1D remainder.
     """
-    thetas = theta_f * 0.5 ** np.arange(n_poles)
-    rows = np.array([thetas ** -j for j in range(n_poles - 1)] + [thetas])
+    # solved in units of theta_f, each row scaled to a largest entry of 1,
+    # so each condition holds to the rounding of its own terms (in seconds
+    # the six-pole rows span 60 decades: the last held to 4e-13)
+    ratios = 0.5 ** np.arange(n_poles)
+    rows = np.array([ratios ** -j for j in range(n_poles - n_tail)]
+                    + [ratios ** j for j in range(1, n_tail + 1)])
+    rows /= np.abs(rows).max(axis=1, keepdims=True)
     rhs = np.zeros(n_poles)
     rhs[0] = 1.0
-    weights = np.linalg.solve(rows, rhs)
-    return thetas, weights
+    return theta_f * ratios, np.linalg.solve(rows, rhs)
 
 
 class SpectralDecayError(RuntimeError):
@@ -185,13 +185,17 @@ class Waveform:
     delta singularity riding on the front (3D, media with finite spectral
     mass), represented on the grid as a single-sample spike.
     ``diagnostics`` records how the synthesis got there: ``pad_factor``,
-    the number of spectrum ``bins`` evaluated (n_samples * pad_factor / 2)
-    and ``alias_ratio``, the wrapped tail over the peak, against
-    ``alias_limit``, above which the synthesis raises SpectralDecayError;
-    also the small-p terms peeled, ``peel_exponents`` e_k and
-    ``peel_coefficients`` (of p^e_k in p v(p) in 1D, of p^(e_k - 1) in
-    the 3D spectrum), and the fractional-peel timescale
-    ``frac_timescale``; in 1D the p^1 coefficient ``c_lin`` in bin 0.
+    the number of spectrum ``bins`` evaluated (n_samples * pad_factor / 2),
+    ``alias_ratio``, the level of the tail window over the peak, against
+    ``alias_limit``, above which the synthesis raises SpectralDecayError,
+    and ``alias_kind``, that level's shape: "ringing" where it changes by
+    more than its size from sample to sample, "wrap" otherwise.  A peel of
+    small-p content adds its pole timescale ``frac_timescale``: the exact
+    small-p peel of solids the number ``contour_nodes`` of off-axis beta
+    evaluations of its add-back, the power-law fluid the terms it peels,
+    ``peel_exponents`` e_k and ``peel_coefficients`` (of p^(e_k - 1)).  A
+    1D solid with no small-p peel records ``c_lin``, the p^1 coefficient
+    of p v(p) in bin 0.
     """
 
     time_grid: np.ndarray
@@ -291,111 +295,6 @@ def _sing_exponent(measure: SpectralMeasure) -> float | None:
     return None
 
 
-def _series_power(f, r: float, n: int) -> np.ndarray:
-    """Taylor coefficients 0..n-1 of f(y)^r from those of f, f[0] > 0, by
-    J. C. P. Miller's recurrence (from f (f^r)' = r f' f^r):
-    g_m = sum_{k=1..m} ((r + 1) k - m) f_k g_(m-k) / (m f_0)."""
-    f = np.concatenate([f, np.zeros(max(0, n - len(f)))])[:n]
-    g = np.zeros(n)
-    g[0] = f[0] ** r
-    for m in range(1, n):
-        k = np.arange(1, m + 1)
-        g[m] = np.dot(((r + 1.0) * k - m) * f[1:m + 1], g[m - 1::-1]) \
-            / (m * f[0])
-    return g
-
-
-def _lam_series(model, n: int) -> np.ndarray:
-    """Taylor coefficients 0..n-1 of L = lam = sqrt(rho/Q) in y = (tau p)^alpha
-    for Cole-Cole and the SLS, sqrt(rho/G_inf) (1 + y)^(1/2) (1 + a y)^(-1/2),
-    and for Havriliak-Negami and Cole-Davidson,
-    sqrt(rho/G0) (1 - b (1 + y)^-gamma)^(-1/2)."""
-    if isinstance(model, (ColeCole, StandardLinearSolid)):
-        # Q = G_inf (1 + a y)/(1 + y)
-        return math.sqrt(model.rho / model.g_inf) * np.convolve(
-            _series_power(np.array([1.0, 1.0]), 0.5, n),
-            _series_power(np.array([1.0, model.a]), -0.5, n))[:n]
-    # Q = G0 (1 - b (1 + y)^-gamma)
-    f = -model.b * _series_power(np.array([1.0, 1.0]), -model.gamma, n)
-    f[0] = 1.0 - model.b
-    return math.sqrt(model.rho / model.g0) * _series_power(f, -0.5, n)
-
-
-def _merge_terms(powers):
-    """The (exponent, coefficient) pairs of ``powers`` whose exponent is not
-    an integer and lies below 2, equal exponents merged, and the summed
-    coefficient of p^1."""
-    terms, c_lin = [], 0.0
-    for e, c in powers:
-        if e > 2.0 - _EXP_TOL:
-            continue
-        if abs(e - 1.0) <= _EXP_TOL:
-            c_lin += c
-            continue
-        for i, (e_i, c_i) in enumerate(terms):
-            if abs(e - e_i) <= _EXP_TOL:
-                terms[i] = (e_i, c_i + c)
-                break
-        else:
-            terms.append((e, c))
-    return terms, c_lin
-
-
-def _small_p_terms(model, x: float, c0: float):
-    """The exact small-p expansion of q(p) = p V(p) - 1/(2 c0) of the 1D
-    spectrum V = lam exp(-beta x)/(2 p): its fractional terms and c_lin.
-
-    With L = lam = sqrt(rho/Q), a series in y = (tau p)^alpha, and
-    beta = p (L - 1/c_inf),
-
-        q = (L(y) - L(0))/2 - x p L(y) (L(y) - 1/c_inf)/2 + O(p^2).
-
-    Returns (terms, c_lin): terms lists (exponent, coefficient) of every
-    power p^e, e = k alpha or 1 + k alpha, that is not an integer and lies
-    below 2 (equal exponents merged); c_lin is the coefficient of p^1.
-    A finite-band medium (support above 0) has an analytic beta, so only
-    c_lin = -int h/r^2 dr / 2 - x (1/c0 - 1/c_inf)/(2 c0).
-    """
-    c_inf = model.c_inf
-    if isinstance(model, MeasureMedium):
-        return [], -0.5 * integrate_power(model.measure, -2.0) \
-            - 0.5 * x / c0 * (1.0 / c0 - 1.0 / c_inf)
-    alpha = getattr(model, "alpha", 1.0)
-    n = int(2.0 / alpha) + 1
-    ell = _lam_series(model, n)
-    m = np.convolve(ell, ell)[:n] - ell / c_inf
-    scale = model.tau ** (alpha * np.arange(n))
-    return _merge_terms(
-        [(k * alpha, float(0.5 * ell[k] * scale[k])) for k in range(1, n)]
-        + [(1.0 + k * alpha, float(-0.5 * x * m[k] * scale[k]))
-           for k in range(n)])
-
-
-def _small_p_terms3d(model, x: float):
-    """The fractional terms of the exact small-p expansion of the 3D
-    spectrum V3 = lam^2 exp(-beta x)/(4 pi x), as (exponent, coefficient)
-    pairs of the 1D convention: e = 1 + k alpha for p^(k alpha).
-
-    With L = lam a series in y = (tau p)^alpha and beta = p (L - 1/c_inf),
-
-        V3 = L(y)^2/(4 pi x) - p L(y)^2 (L(y) - 1/c_inf)/(4 pi) + O(p^2),
-
-    so every k alpha below 1 comes from the Taylor coefficients of L^2
-    alone, with coefficient (L^2)_k tau^(k alpha)/(4 pi x); the p^0 term
-    1/(4 pi x c0^2) is bin 0's.  A medium with an analytic beta (a
-    finite band, elastic) has none.
-    """
-    if isinstance(model, MeasureMedium):
-        return []
-    alpha = getattr(model, "alpha", 1.0)
-    n = int(1.0 / alpha) + 1
-    ell = _lam_series(model, n)
-    ell2 = np.convolve(ell, ell)[:n]
-    scale = model.tau ** (alpha * np.arange(n)) / (4.0 * math.pi * x)
-    return _merge_terms([(1.0 + k * alpha, float(ell2[k] * scale[k]))
-                         for k in range(1, n)])[0]
-
-
 def _large_p_terms(model, x: float, dim: int) -> np.ndarray:
     """a_0, a_1, a_2 of the 1D or 3D spectrum a_0 + a_1/p + a_2/p^2 + ...
     as p -> inf.  With m_k = int r^k h(r) dr, beta = m0 - m1/p + m2/p^2 - ...,
@@ -418,20 +317,21 @@ def _large_p_terms(model, x: float, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Peel:
-    """One analytically inverted part of the spectrum: ``subtract(out, p)``
-    subtracts its spectrum at p from ``out`` in place, ``dc`` is
+    """One analytically inverted part of the spectrum: ``subtract(out, p,
+    beta)`` subtracts its spectrum at p from ``out`` in place (beta is
+    beta(p), which only the small-p peel of solids reads), ``dc`` is
     subtracted from bin 0 (its p -> 0 value; 0 for a term singular there,
-    whose small-p powers the fractional peel and bin 0 carry); ``time(s)``
+    whose small-p content the small-p peel and bin 0 carry); ``time(s)``
     is added back for s >= 0."""
 
-    subtract: Callable[[np.ndarray, np.ndarray], None]
+    subtract: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     dc: float
     time: Callable[[np.ndarray], np.ndarray]
 
 
 def _step_peel(v):
     """v/p <-> v H(s)."""
-    def subtract(out, p):
+    def subtract(out, p, beta):
         out -= v / p
 
     return _Peel(subtract, 0.0, lambda s: np.full_like(s, v))
@@ -439,7 +339,7 @@ def _step_peel(v):
 
 def _exp_peel(c, theta):
     """c/(p + 1/theta) <-> c e^(-s/theta) H(s)."""
-    def subtract(out, p):
+    def subtract(out, p, beta):
         term = p + 1.0 / theta
         out -= np.divide(c, term, out=term)
 
@@ -448,7 +348,7 @@ def _exp_peel(c, theta):
 
 def _kink_peel(j1, la, lb):
     """j1/((p+la)(p+lb)) <-> j1 (e^(-la s) - e^(-lb s))/(lb - la) H(s)."""
-    def subtract(out, p):
+    def subtract(out, p, beta):
         term = p + la
         term *= p + lb
         out -= np.divide(j1, term, out=term)
@@ -458,20 +358,25 @@ def _kink_peel(j1, la, lb):
                  / (lb - la))
 
 
+def _pole_sum(p, thetas, weights):
+    """sum_i A_i/(1 + theta_i p), as a new array."""
+    poles = np.zeros_like(p)
+    term = np.empty_like(p)
+    for a_i, th_i in zip(weights, thetas):
+        np.multiply(p, th_i, out=term)
+        term += 1.0
+        poles += np.divide(a_i, term, out=term)
+    return poles
+
+
 def _frac_peel(terms, thetas, weights):
     """sum_k c_k p^(e_k-1) sum_i A_i/(1 + theta_i p)
     <-> sum_k c_k sum_i A_i theta_i^(-e_k) phi_k(s/theta_i) H(s),
     phi_k(y) = y^(1-e_k) E_{1,2-e_k}(-y), for the (e_k, c_k) of ``terms``.
     The pole sum is formed once for all terms, and the add-back evaluates
     every term's E_{1,2-e_k} at a pole in one ml_e1_neg call."""
-    def subtract(out, p):
-        poles = np.zeros_like(p)
-        term = np.empty_like(p)
-        for a_i, th_i in zip(weights, thetas):
-            np.multiply(p, th_i, out=term)
-            term += 1.0
-            poles += np.divide(a_i, term, out=term)
-        del term  # freed before the powers allocate theirs
+    def subtract(out, p, beta):
+        poles = _pole_sum(p, thetas, weights)
         for e, c in terms:
             term = _principal_power(p, e - 1.0)
             term *= c
@@ -495,6 +400,93 @@ def _frac_peel(terms, thetas, weights):
         for k, (e, c) in enumerate(terms):
             for a_i, th_i, y, e1 in zip(weights, thetas, ys, rows):
                 out[nz] += c * a_i * th_i ** (-e) * y ** (1.0 - e) * e1[k]
+        return out
+
+    return _Peel(subtract, 0.0, time)
+
+
+def _contour_inverse(transform, s):
+    """The inverse Laplace transform of ``transform``, analytic off the
+    closed negative real axis, at the increasing times s > 0, and the
+    number of nodes at which it evaluated ``transform``.
+
+    One parabola z = mu (1 + i u)^2, mu = _CONTOUR_MU/t0, serves every time
+    in the window [t0, Lam t0], Lam = _CONTOUR_WINDOW (Weideman &
+    Trefethen, Math. Comp. 76 (2007) 1341-1356): the trapezoid rule of
+    step h at u_k = k h, k < N = _CONTOUR_NODES, on the upper half, the
+    lower half being its conjugate.  With a = mu t0, the discretisation
+    error is e^(-2 pi/h) from the cut (Im u = 1, where the parabola folds
+    onto the negative axis) and min over d of e^(a Lam (1 + d)^2 - 2 pi
+    d/h) from the other side, the truncation e^(a (1 - (N h)^2)) and the
+    roundoff eps e^(a Lam): Lam = 10 and N = 44 balance them near 1e-13.
+    """
+    u = _CONTOUR_STEP * np.arange(_CONTOUR_NODES)
+    # h z'(u)/(2 pi i) over mu, doubled for the conjugate half
+    weight = (_CONTOUR_STEP / math.pi) * (1.0 + 1j * u)
+    weight[1:] *= 2.0
+    out = np.empty_like(s)
+    lo = 0
+    nodes = 0
+    while lo < len(s):
+        hi = int(np.searchsorted(s, _CONTOUR_WINDOW * s[lo], side="right"))
+        mu = _CONTOUR_MU / s[lo]
+        z = mu * (1.0 + 1j * u) ** 2
+        w = transform(z)
+        w *= mu * weight
+        kernel = np.multiply.outer(s[lo:hi], z)
+        np.exp(kernel, out=kernel)
+        out[lo:hi] = (kernel @ w).real
+        nodes += len(z)
+        lo = hi
+    return out, nodes
+
+
+def _small_p_peel(model, x, dim, c0, theta_f, diagnostics):
+    """The exact small-p peel G of a solid whose measure reaches r = 0
+    (module docstring), from beta alone, with the six-pole sum at theta_f.
+    At high rates P = O(p^-4), so G is O(p^-3) or smaller and adds no 1/p
+    or 1/p^2 term.  The add-back inverts G on windowed parabolas, with
+    beta off the imaginary axis at their nodes, whose count goes into
+    ``diagnostics``.  It is 0 below _FRAC_FLAT times the shortest pole
+    timescale: a sample a few ulps after the arrival read 3.6e-8 of the
+    peak in 3D with its own window (2.8e-9 when set to 0), and that window
+    costs as many beta evaluations as any other.
+    """
+    thetas, weights = _frac_poles(theta_f, 6, 2)
+    c_inf = model.c_inf
+
+    def spectrum(p, beta):
+        """G at p from beta = beta(p), as a new array."""
+        lam = beta / p
+        lam += 1.0 / c_inf
+        xb = beta * x
+        if dim == 1:
+            g = 0.5 * xb
+            g -= 1.0
+            g *= xb
+            g += 1.0
+            g *= lam
+            g -= 1.0 / c0
+            g *= 0.5
+            g /= p
+        else:
+            g = 1.0 - xb
+            g *= lam
+            g *= lam
+            g -= 1.0 / c0 ** 2
+            g /= 4.0 * math.pi * x
+        g *= _pole_sum(p, thetas, weights)
+        return g
+
+    def subtract(out, p, beta):
+        out -= spectrum(p, beta)
+
+    def time(s):
+        nz = s > _FRAC_FLAT * thetas[-1]
+        out = np.zeros_like(s)
+        out[nz], diagnostics["contour_nodes"] = _contour_inverse(
+            lambda z: spectrum(
+                z, np.asarray(dispersion_attenuation(model, z))), s[nz])
         return out
 
     return _Peel(subtract, 0.0, time)
@@ -527,22 +519,15 @@ def _fluid_terms(model, x):
     return terms, dc
 
 
-def _lam_decay(model, x, p):
-    """lam(p) exp(-beta(p) x) and lam(p) = 1/c_inf + beta(p)/p from one
-    beta, as new arrays."""
-    beta = np.asarray(dispersion_attenuation(model, p))
+def _spectrum(model, x, dim, p, beta):
+    """The Green's spectrum at p from beta = beta(p), as a new array:
+    lam exp(-beta x)/(2 p) in 1D, lam^2 exp(-beta x)/(4 pi x) in 3D, with
+    lam = 1/c_inf + beta/p."""
     lam = beta / p
     lam += 1.0 / model.c_inf
-    beta *= -x
-    np.exp(beta, out=beta)
-    beta *= lam
-    return beta, lam
-
-
-def _spectrum(model, x, dim, p):
-    """The Green's spectrum at p, as a new array: lam exp(-beta x)/(2 p) in
-    1D, lam^2 exp(-beta x)/(4 pi x) in 3D."""
-    out, lam = _lam_decay(model, x, p)
+    out = beta * -x
+    np.exp(out, out=out)
+    out *= lam
     if dim == 1:
         out *= 0.5
         out /= p
@@ -578,16 +563,7 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
     lb = la / 2.0
 
     front_delta, a1, a2 = (float(a) for a in _large_p_terms(model, x, dim))
-    if c0 is None:
-        dc_step = 0.0
-        terms, dc = _fluid_terms(model, x)
-    elif dim == 1:
-        dc_step = 0.5 / c0
-        terms, dc = _small_p_terms(model, x, c0)
-    else:
-        dc_step = 0.0
-        terms = _small_p_terms3d(model, x)
-        dc = 1.0 / (4.0 * math.pi * x * c0 ** 2)
+    dc_step = 0.5 / c0 if dim == 1 and c0 is not None else 0.0
     # a_0 is the front delta; the step and the ramp c/(p + 1/theta) carry
     # a_1/p, and the kink what the ramp's -c/(theta p^2) leaves of a_2/p^2
     ramp = a1 - dc_step
@@ -597,23 +573,39 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
         peels.append(_exp_peel(ramp, theta))
     if kink:
         peels.append(_kink_peel(kink, la, lb))
-    theta_f, n_poles = (T / _FLUID_FRACTION, 4) if c0 is None \
-        else (T / _FRAC_FRACTION, 5)
-    if terms:
-        peels.append(_frac_peel(terms, *_frac_poles(theta_f, n_poles)))
-    diagnostics = {"pad_factor": pad_factor, "bins": n_full // 2,
-                   "peel_exponents": [e for e, _ in terms],
-                   "peel_coefficients": [c for _, c in terms]}
-    if dim == 1:
-        diagnostics["c_lin"] = dc
-    diagnostics["frac_timescale"] = theta_f
+    diagnostics = {"pad_factor": pad_factor, "bins": n_full // 2}
+    r_lo, r_hi = measure.support
+    if c0 is None:
+        # bin 0: the p^0 term of the fluid's expansion
+        terms, dc = _fluid_terms(model, x)
+        theta_f = T / _FLUID_FRACTION
+        if terms:
+            peels.append(_frac_peel(terms, *_frac_poles(theta_f, 4, 1)))
+        diagnostics.update(peel_exponents=[e for e, _ in terms],
+                           peel_coefficients=[c for _, c in terms],
+                           frac_timescale=theta_f)
+    elif r_lo == 0.0 < r_hi:
+        # the measure reaches r = 0: the exact small-p peel takes every
+        # singular power, and bin 0 is the remainder's limit
+        dc = 0.0 if dim == 1 else 1.0 / (4.0 * math.pi * x * c0 ** 2)
+        theta_f = T / _FRAC_FRACTION
+        diagnostics.update(frac_timescale=theta_f, contour_nodes=0)
+        peels.append(_small_p_peel(model, x, dim, c0, theta_f, diagnostics))
+    elif dim == 1:
+        # beta is analytic at p = 0: bin 0 is the p^1 coefficient c_lin of
+        # p V(p) - 1/(2 c0), -int h/r^2 dr/2 - x (1/c0 - 1/c_inf)/(2 c0)
+        dc = diagnostics["c_lin"] = -0.5 * integrate_power(measure, -2.0) \
+            - 0.5 * x / c0 * (1.0 / c0 - 1.0 / c_inf)
+    else:
+        dc = 1.0 / (4.0 * math.pi * x * c0 ** 2)
 
     def remainder(p):
         """The spectrum at p less the front delta and every peel."""
-        rem = _spectrum(model, x, dim, p)
+        beta = np.asarray(dispersion_attenuation(model, p))
+        rem = _spectrum(model, x, dim, p, beta)
         rem -= front_delta
         for peel in peels:
-            peel.subtract(rem, p)
+            peel.subtract(rem, p, beta)
         return rem
 
     # wavefront shift: integer part as an index roll, fractional part as a
@@ -628,6 +620,10 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
     w_time /= dt
     tail = w_time[-max(4, n_full // 512):]
     alias = float(np.max(np.abs(tail)))
+    # a wrapped relaxation tail varies slowly over the window; the
+    # Nyquist-scale ringing of an unresolved front or fluid start changes
+    # by more than its own size from sample to sample
+    kind = "ringing" if np.max(np.abs(np.diff(tail))) > alias else "wrap"
 
     m = np.arange(n_samples)
     u = w_time[(m - k_shift) % n_full]
@@ -643,12 +639,8 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
 
     peak = float(np.max(np.abs(u)))
     if not alias <= _ALIAS_LIMIT * peak:     # NaN included
-        # a wrapped relaxation tail varies slowly over the window; the
-        # Nyquist-scale ringing of an unresolved front or fluid start
-        # changes by more than its own size from sample to sample
         advice = "the front rings at the Nyquist rate; increase n_samples" \
-            if np.max(np.abs(np.diff(tail))) > alias \
-            else "increase pad_factor or T"
+            if kind == "ringing" else "increase pad_factor or T"
         raise SpectralDecayError(
             f"wrap-around tail {alias:.2e} exceeds {_ALIAS_LIMIT:.0e} of "
             f"peak {peak:.2e}; {advice}")
@@ -661,7 +653,7 @@ def _synthesize(model, x, n_samples, T, taper, pad_factor, dim):
         dc_step_amplitude=dc_step,
         front_delta_area=front_delta,
         diagnostics={**diagnostics, "alias_ratio": alias / peak,
-                     "alias_limit": _ALIAS_LIMIT},
+                     "alias_limit": _ALIAS_LIMIT, "alias_kind": kind},
     )
 
 
@@ -673,8 +665,11 @@ def green1d(model, x: float, n_samples: int, T: float, taper: bool = True,
     when measuring wavefront discontinuities, which a taper would mask.
     ``pad_factor``: internal period extension, a positive int power of two
     (ValueError otherwise); defaults to 64 for media with an algebraic
-    relaxation tail (Cole-Cole, Havriliak-Negami), whose small-p powers
-    below p^2 are peeled exactly, and 32 otherwise.
+    relaxation tail (Cole-Cole, Havriliak-Negami), and 32 otherwise.  The
+    exact small-p peel leaves those a remainder whose tail falls like
+    s^(-3 - alpha), but its coefficient grows with the relaxation
+    strength: at pad 16, Cole-Cole a 13.36, alpha 0.59 read 9.2e-6 of the
+    peak against Talbot at verify's settings, and 8.9e-8 at pad 64.
     """
     return _synthesize(model, x, n_samples, T, taper, pad_factor, dim=1)
 
@@ -687,8 +682,10 @@ def green3d(model, x: float, n_samples: int, T: float, taper: bool = True,
     Media with finite spectral mass carry a genuine delta at the front; it
     is added as a single-sample spike of the analytically known area.
     ``pad_factor`` defaults to 64 for media with an algebraic relaxation
-    tail (Cole-Cole, Havriliak-Negami), whose small-p powers below p^1 are
-    peeled exactly, and 32 otherwise."""
+    tail (Cole-Cole, Havriliak-Negami), and 32 otherwise: the exact
+    small-p peel leaves a remainder whose s^-3 tail wraps, at pad 16, to
+    4.6e-5 of the peak for Cole-Cole a 13.36, alpha 0.59 at verify's
+    settings, against 3.7e-7 at pad 64."""
     return _synthesize(model, x, n_samples, T, taper, pad_factor, dim=3)
 
 

@@ -135,9 +135,11 @@ def test_greens_csv(tmp_path):
     assert diag["diag_bins"] == str(4096 * 32 // 2)
     assert 0.0 < float(diag["diag_alias_ratio"]) \
         < float(diag["diag_alias_limit"]) == 1e-4
-    assert json.loads(diag["diag_peel_exponents"]) == []
+    assert diag["diag_alias_kind"] in ("ringing", "wrap")
+    # an SLS has no small-p peel: bin 0 carries c_lin
     assert float(diag["diag_c_lin"]) < 0.0
-    assert float(diag["diag_frac_timescale"]) == 2e-5
+    assert not {"diag_peel_exponents", "diag_frac_timescale",
+                "diag_contour_nodes"} & diag.keys()
     header, rows = read_table(out)
     assert header == ["t_seconds", "u"]
     assert rows.shape == (4096, 2)
@@ -147,20 +149,38 @@ def test_greens_csv(tmp_path):
 
 
 def test_greens_3d_records_its_peel(tmp_path):
-    # a Cole-Cole 3D synthesis peels p^(k alpha) of lam^2 exactly
-    # (alpha = 1/2: e = 1 + alpha) at pad 64, and says so in its header
+    # a Cole-Cole 3D synthesis peels the exact small-p function of beta at
+    # pad 64, adds it back on 44-node contours, one per log-time window,
+    # and says so in its header
     out = tmp_path / "g3.csv"
     assert main(["greens", *CC_ARGS, "--x", "8e-9", "--T", "6.4e-12",
                  "--n", "4096", "--dim", "3", "-o", str(out)]) == 0
     meta = [line for line in out.read_text().splitlines()
             if line.startswith("# diag_")]
     diag = dict(m[2:].split("=", 1) for m in meta)
-    assert json.loads(diag["diag_peel_exponents"]) == [1.5]
-    assert len(json.loads(diag["diag_peel_coefficients"])) == 1
     assert float(diag["diag_frac_timescale"]) == 3.2e-12
+    assert int(diag["diag_contour_nodes"]) == 4 * 44
     assert diag["diag_pad_factor"] == "64"
     assert diag["diag_bins"] == str(4096 * 64 // 2)
+    assert diag["diag_alias_kind"] in ("ringing", "wrap")
     assert "diag_c_lin" not in diag
+    assert "diag_peel_exponents" not in diag
+
+
+def test_curves_records_its_quadrature(tmp_path):
+    # the DispersionCurve record as diag_ lines after the # cmwave line,
+    # ahead of the table, which reads as before
+    out = tmp_path / "cc.csv"
+    assert main(["curves", *CC_ARGS, "--range", "1:10", "--ppd", "2",
+                 "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("# cmwave curves config_sha256=")
+    diag = dict(line[2:].split("=", 1) for line in lines[1:3])
+    assert int(diag["diag_nodes"]) > 0
+    assert 0.0 <= float(diag["diag_rel_error"]) <= 1e-8
+    assert lines[3] == "omega_MHz,attenuation_per_m,dispersion_per_m," \
+        "phase_speed_m_per_s"
+    assert read_table(out)[1].shape == (3, 4)
 
 
 def test_verify_pass_and_fail(tmp_path):
@@ -192,10 +212,13 @@ def test_verify_pass_and_fail(tmp_path):
      "--gamma", "0.5"],
     ["--model", "havriliak-negami", "--b", "0.81", "--alpha", "0.56",
      "--gamma", "0.96"],
-], ids=["cc-0.2", "cc-0.53", "hn-0.3", "hn-0.81"])
+    ["--model", "cole-cole", "--a", "5.24", "--alpha", "0.10"],
+], ids=["cc-0.2", "cc-0.53", "hn-0.3", "hn-0.81", "cc-5.24-0.10"])
 def test_verify_passes_on_small_p_tails(model_args, tmp_path):
     # admissible models whose 1D causality synthesis raised (exit 3) or
-    # leaked 1.2e-5 of its peak (exit 1) while the small-p tail was fitted
+    # leaked 1.2e-5 of its peak (exit 1) while the small-p tail was fitted;
+    # the last raised (exit 3) while the Taylor series of lam was peeled,
+    # summed beyond its radius 1/a
     out = tmp_path / "rep.json"
     assert main(["verify", *model_args, "--tau", "1e-13", "--cinf", "5000",
                  "-o", str(out)]) == 0
