@@ -191,9 +191,11 @@ def cole_cole_relaxation_modulus(model: ColeCole, t: float) -> float:
 
 
 def ml_e1_neg(beta_param, y):
-    """Vectorised E_{1,beta}(-y) for y >= 0 and 0 < beta < 3, the analytic
-    fractional-peel terms of the Green's synthesis (beta in (0, 2) for the
-    small-p powers of solids, up to 3 for those of the power-law fluid).
+    """Vectorised E_{1,beta}(-y) for y >= 0 and 0 < beta < 3:
+    y^(beta-1) E_{1,beta}(-y) is the inverse Laplace transform of a
+    fractional power over one pole, p^(1-beta)/(p + 1).  The Green's
+    synthesis does not use it: it adds its small-p peels back on contours
+    (greens._contour_inverse).
 
     A sequence of betas gives one row per beta over the same y, and the
     betas share the contour work where their contours share nodes.  From

@@ -138,7 +138,7 @@ def test_greens_csv(tmp_path):
     assert diag["diag_alias_kind"] in ("ringing", "wrap")
     # an SLS has no small-p peel: bin 0 carries c_lin
     assert float(diag["diag_c_lin"]) < 0.0
-    assert not {"diag_peel_exponents", "diag_frac_timescale",
+    assert not {"diag_peel_order", "diag_frac_timescale",
                 "diag_contour_nodes"} & diag.keys()
     header, rows = read_table(out)
     assert header == ["t_seconds", "u"]
@@ -164,7 +164,8 @@ def test_greens_3d_records_its_peel(tmp_path):
     assert diag["diag_bins"] == str(4096 * 64 // 2)
     assert diag["diag_alias_kind"] in ("ringing", "wrap")
     assert "diag_c_lin" not in diag
-    assert "diag_peel_exponents" not in diag
+    # exp(-x beta) cut to order 1 in 3D
+    assert diag["diag_peel_order"] == "1"
 
 
 def test_curves_records_its_quadrature(tmp_path):
